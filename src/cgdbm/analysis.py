@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import ConfigError, DomainError, ShapeError
 from .model import ModelParams, Offsets
@@ -96,7 +96,7 @@ def significance_threshold(n: int, alpha: float) -> float:
         raise DomainError("need n >= 4 samples")
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    t = float(stats.t.ppf(1.0 - alpha / 2.0, n - 2))
+    t = float(stdtrit(n - 2, 1.0 - alpha / 2.0))
     return t / np.sqrt(t * t + n - 2)
 
 
@@ -246,6 +246,7 @@ def train_som(frames, cfg: SomConfig = SomConfig(),
         rng = np.random.default_rng(cfg.seed)
     nodes = f[rng.choice(f.shape[0], size=cfg.n_nodes, replace=False)].copy()
     lattice = np.arange(cfg.n_nodes)
+    d = circular_distance(lattice[:, None], lattice[None, :], cfg.n_nodes)
     qe = np.empty(cfg.n_epochs)
     for epoch in range(cfg.n_epochs):
         if cfg.n_epochs == 1:
@@ -254,13 +255,12 @@ def train_som(frames, cfg: SomConfig = SomConfig(),
             frac = epoch / (cfg.n_epochs - 1)
         lr = (1.0 - frac) * cfg.lr_start + frac * cfg.lr_end
         radius = (1.0 - frac) * cfg.radius_start + frac * cfg.radius_end
+        # row b: learning rate times the neighborhood around node b
+        step = lr * np.exp(-(d * d) / (2.0 * radius * radius))
         order = rng.permutation(f.shape[0])
         for i in order:
             v = f[i]
-            b = _bmu(nodes, v)
-            d = circular_distance(lattice, b, cfg.n_nodes)
-            h = np.exp(-(d * d) / (2.0 * radius * radius))
-            nodes += (lr * h)[:, None] * (v - nodes)
+            nodes += step[_bmu(nodes, v)][:, None] * (v - nodes)
         qe[epoch] = quantization_error(nodes, f)
     return SomModel(nodes=nodes, qe_history=qe)
 

@@ -12,7 +12,6 @@ failure (including training divergence), 4 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,19 +53,6 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _resolve_workers(value) -> int:
-    if value is None:
-        value = os.environ.get("CGDBM_WORKERS", "1")
-    try:
-        workers = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"workers must be an integer, got {value!r}") \
-            from None
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
-    return workers
-
-
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -76,7 +62,7 @@ def _load_run_config(args) -> RunConfig:
 
 # --- prepare ----------------------------------------------------------------
 
-def cmd_prepare(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_prepare(cfg: RunConfig, out_dir: Path) -> int:
     image_dir = Path(cfg.data.image_dir)
     if not image_dir.is_dir():
         raise ConfigError(f"image directory {image_dir} does not exist")
@@ -117,8 +103,7 @@ def _log_rows(log) -> list[list]:
             for rec in log]
 
 
-def cmd_train(cfg: RunConfig, out_dir: Path, workers: int,
-              epochs: int | None) -> int:
+def cmd_train(cfg: RunConfig, out_dir: Path, epochs: int | None) -> int:
     data, _ = load_matrix(_require(out_dir / TRAIN_WHITE, "prepare"))
     dims = cfg.model.dims
     if data.shape[1] != dims[0]:
@@ -149,9 +134,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path, workers: int,
 
 # --- sample -------------------------------------------------------------------
 
-def cmd_sample(cfg: RunConfig, out_dir: Path, workers: int,
-               chains: int | None, iters: int | None,
-               every: int | None) -> int:
+def cmd_sample(cfg: RunConfig, out_dir: Path, chains: int | None,
+               iters: int | None, every: int | None) -> int:
     params, offsets = load_model(_require(out_dir / MODEL, "train"))
     data, _ = load_matrix(_require(out_dir / TRAIN_WHITE, "prepare"))
     scfg = cfg.sampling
@@ -184,7 +168,7 @@ def _write_map_csv(path, map_set) -> None:
     write_csv(path, header, rows)
 
 
-def cmd_analyze(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     params, offsets = load_model(_require(out_dir / MODEL, "train"))
     frames, frames_meta = load_matrix(_require(out_dir / FRAMES, "sample"))
     whitener, wmeta = load_whitener(_require(out_dir / WHITENER, "prepare"))
@@ -370,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config's global seed")
         sp.add_argument("--out-dir", default=".",
                         help="artifact directory (default: current)")
-        sp.add_argument("--workers", default=None,
-                        help="worker count (or env CGDBM_WORKERS)")
 
     common(sub.add_parser("prepare", help="extract and whiten patches"))
     p_train = sub.add_parser("train", help="train a model on prepared data")
@@ -396,18 +378,16 @@ def run(args) -> int:
         if not out_dir.is_dir():
             raise ConfigError(f"run directory {out_dir} does not exist")
         return cmd_report(out_dir)
-    workers = _resolve_workers(args.workers)
     cfg = _load_run_config(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "prepare":
-        return cmd_prepare(cfg, out_dir, workers)
+        return cmd_prepare(cfg, out_dir)
     if args.command == "train":
-        return cmd_train(cfg, out_dir, workers, args.epochs)
+        return cmd_train(cfg, out_dir, args.epochs)
     if args.command == "sample":
-        return cmd_sample(cfg, out_dir, workers, args.chains, args.iters,
-                          args.every)
+        return cmd_sample(cfg, out_dir, args.chains, args.iters, args.every)
     if args.command == "analyze":
-        return cmd_analyze(cfg, out_dir, workers)
+        return cmd_analyze(cfg, out_dir)
     raise ConfigError(f"unknown command {args.command!r}")
 
 

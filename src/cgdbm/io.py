@@ -2,10 +2,12 @@
 
 Both binary formats share one framing: an ascii magic line, ascii
 ``key=value`` header lines closed by one blank line, a little-endian
-float64 payload, and a trailing 8-byte little-endian CRC-64 of the payload
-bytes.  Model snapshots use magic ``CGDBM1`` and carry the parameter
+float64 payload, and a trailing 8-byte BLAKE2b digest of the payload
+bytes.  Model snapshots use magic ``CGDBM2`` and carry the parameter
 arrays in a fixed order; everything else (datasets, frames, whiteners)
-travels in ``CGMAT1`` matrix containers with free-form metadata keys.
+travels in ``CGMAT2`` matrix containers with free-form metadata keys.
+Version-1 files, which carried a CRC-64 trailer, are rejected as bad
+magic.
 
 Writers emit headers in sorted key order and never include timestamps, so
 rewriting the same content produces byte-identical files.
@@ -13,64 +15,35 @@ rewriting the same content produces byte-identical files.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .errors import FormatError
 from .model import ModelParams, Offsets
 
-MODEL_MAGIC = b"CGDBM1\n"
-MATRIX_MAGIC = b"CGMAT1\n"
-
-_CRC64_POLY = 0xC96C5795D7870F42  # reflected ECMA polynomial
-_CRC64_INIT = 0xFFFFFFFFFFFFFFFF
+MODEL_MAGIC = b"CGDBM2\n"
+MATRIX_MAGIC = b"CGMAT2\n"
 
 
-def _build_crc_tables() -> list[list[int]]:
-    t0 = []
-    for b in range(256):
-        crc = b
-        for _ in range(8):
-            crc = (crc >> 1) ^ (_CRC64_POLY if crc & 1 else 0)
-        t0.append(crc)
-    tables = [t0]
-    for i in range(1, 8):
-        prev = tables[i - 1]
-        tables.append([t0[v & 0xFF] ^ (v >> 8) for v in prev])
-    return tables
-
-
-_CRC_TABLES = _build_crc_tables()
-
-
-def crc64(data: bytes) -> int:
-    """CRC-64 of a byte string (reflected ECMA polynomial), eight bytes
-    at a time."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
-    crc = _CRC64_INIT
-    n8 = len(data) // 8
-    if n8:
-        words = np.frombuffer(data, dtype="<u8", count=n8)
-        for w in words.tolist():
-            v = crc ^ w
-            crc = (t7[v & 0xFF] ^ t6[(v >> 8) & 0xFF]
-                   ^ t5[(v >> 16) & 0xFF] ^ t4[(v >> 24) & 0xFF]
-                   ^ t3[(v >> 32) & 0xFF] ^ t2[(v >> 40) & 0xFF]
-                   ^ t1[(v >> 48) & 0xFF] ^ t0[(v >> 56) & 0xFF])
-    for b in data[n8 * 8:]:
-        crc = t0[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc ^ _CRC64_INIT
+def _digest(payload: bytes) -> bytes:
+    return hashlib.blake2b(payload, digest_size=8).digest()
 
 
 def _write_framed(path, magic: bytes, header: dict[str, str],
                   payload: bytes) -> None:
+    for k, v in header.items():
+        if "\n" in k or "=" in k or "\n" in v:
+            raise ValueError(f"header entry {k!r}={v!r}: keys may not contain "
+                             "'=' or a newline, values may not contain a "
+                             "newline")
     lines = b"".join(f"{k}={header[k]}\n".encode("ascii") for k in sorted(header))
-    check = crc64(payload).to_bytes(8, "little")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(lines)
         fh.write(b"\n")
         fh.write(payload)
-        fh.write(check)
+        fh.write(_digest(payload))
 
 
 def _read_framed(path, magic: bytes) -> tuple[dict[str, str], bytes]:
@@ -96,7 +69,7 @@ def _read_framed(path, magic: bytes) -> tuple[dict[str, str], bytes]:
     if len(body) < 8:
         raise FormatError(f"{path}: truncated, no checksum")
     payload, check = body[:-8], body[-8:]
-    if crc64(payload) != int.from_bytes(check, "little"):
+    if _digest(payload) != check:
         raise FormatError(f"{path}: checksum mismatch")
     return header, payload
 

@@ -222,7 +222,7 @@ def desk_runs(tmp_path_factory):
     summaries = {}
     for seed in DESK_SEEDS:
         args = ["--config", str(cfg_path), "--seed", str(seed),
-                "--out-dir", str(root / f"seed_{seed}"), "--workers", "1"]
+                "--out-dir", str(root / f"seed_{seed}")]
         for step in ("prepare", "train", "sample", "analyze"):
             rc = cli_main([step, *args])
             assert rc == 0, f"seed {seed}: {step} exited {rc}"
@@ -325,8 +325,7 @@ def test_a10_bit_identical_reruns(tmp_path):
     out = tmp_path / "artifacts"
 
     def run_all():
-        base = ["--config", str(cfg_path), "--out-dir", str(out),
-                "--workers", "1"]
+        base = ["--config", str(cfg_path), "--out-dir", str(out)]
         for step in ("prepare", "train", "sample", "analyze"):
             assert cli_main([step, *base]) == 0, step
         assert cli_main(["report", "--out-dir", str(out)]) == 0

@@ -93,6 +93,15 @@ def test_threshold_is_exact_test_calibration(rng):
     assert abs(rate - alpha) < 4 * sigma
 
 
+def test_threshold_matches_t_quantile_exactly():
+    from scipy import stats
+    for n in (4, 5, 7, 10, 30, 64, 200, 1000, 20000):
+        for alpha in (1e-6, 1e-3, 0.01, 0.05, 0.5, 0.9):
+            t = float(stats.t.ppf(1.0 - alpha / 2.0, n - 2))
+            want = t / np.sqrt(t * t + n - 2)
+            assert significance_threshold(n, alpha) == want
+
+
 # --- correlate ----------------------------------------------------------------
 
 def test_correlate_frames_equal_maps(rng):

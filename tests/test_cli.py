@@ -175,7 +175,7 @@ def test_sample_flag_overrides(run_dir, tmp_path):
     assert frames.shape == (100, 12)
 
 
-def test_exit_codes(run_dir, tmp_path, monkeypatch):
+def test_exit_codes(run_dir, tmp_path):
     root, cfg, out = run_dir
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -194,11 +194,6 @@ def test_exit_codes(run_dir, tmp_path, monkeypatch):
     blob[-3] ^= 0xFF
     (empty / "model.cgdbm").write_bytes(bytes(blob))
     assert main(["sample", *base]) == 4
-    # bad workers value
-    assert main(["prepare", *base, "--workers", "zero"]) == 2
-    assert main(["prepare", *base, "--workers", "0"]) == 2
-    monkeypatch.setenv("CGDBM_WORKERS", "2")
-    assert main(["prepare", *base]) == 0
     # report on a missing directory
     assert main(["report", "--out-dir", str(tmp_path / "nowhere")]) == 2
 
@@ -230,3 +225,14 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "significant_fraction" in proc.stdout
     assert (out / "report.txt").is_file()
+
+
+def test_cli_import_skips_scipy_stats():
+    # each stage runs in its own process and pays for every import of the
+    # CLI; scipy.stats is the costliest and the pipeline does not need it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cgdbm.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,24 +1,16 @@
 """Round-trips and corruption detection for the binary containers."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from cgdbm.errors import FormatError
-from cgdbm.io import (crc64, format_float, load_matrix, load_model, read_pgm,
+from cgdbm.io import (format_float, load_matrix, load_model, read_pgm,
                       save_matrix, save_model, write_csv, write_pgm)
 from cgdbm.model import ModelParams, Offsets
 
 from oracles import random_model
-
-
-def test_crc64_known_answer():
-    # standard check value for this polynomial/reflection convention
-    assert crc64(b"123456789") == 0x995DC9BBDF1939FA
-
-
-def test_crc64_empty_and_incremental_difference():
-    assert crc64(b"") != crc64(b"\x00")
-    assert crc64(b"abc") != crc64(b"abd")
 
 
 def test_model_round_trip(rng, tmp_path):
@@ -64,9 +56,14 @@ def test_model_truncation_detected(rng, tmp_path):
 
 def test_model_wrong_magic_rejected(tmp_path):
     path = tmp_path / "m.cgdbm"
-    path.write_bytes(b"NOTME1\nL=1\n\n")
-    with pytest.raises(FormatError):
-        load_model(path)
+    for blob in [b"NOTME1\nL=1\n\n",
+                 # a well-formed version-1 file: zero 1x1x1 model and its
+                 # CRC-64 trailer
+                 b"CGDBM1\nL=1\nM=1\nN=1\n\n" + bytes(64)
+                 + bytes.fromhex("02243016a57a54de")]:
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="bad magic"):
+            load_model(path)
 
 
 def test_matrix_round_trip_with_meta(rng, tmp_path):
@@ -77,6 +74,25 @@ def test_matrix_round_trip_with_meta(rng, tmp_path):
     np.testing.assert_array_equal(a, b)
     assert meta["kind"] == "frames"
     assert meta["alpha"] == "0.01"
+
+
+def test_matrix_golden_bytes(tmp_path):
+    # pins the v2 framing: magic, sorted header, float64 payload, BLAKE2b-64
+    path = tmp_path / "g.cgmat"
+    save_matrix(path, [[1.0, 2.0], [3.0, -0.5]], meta={"kind": "golden"})
+    assert path.read_bytes() == (
+        b"CGMAT2\ncols=2\nkind=golden\nrows=2\n\n"
+        + struct.pack("<4d", 1.0, 2.0, 3.0, -0.5)
+        + bytes.fromhex("bd144e686621ad84"))
+
+
+@pytest.mark.parametrize("meta", [{"note": "two\nlines"}, {"k": "v\n"},
+                                  {"a=b": "c"}, {"a\nb": "c"}])
+def test_matrix_unreadable_header_rejected(tmp_path, meta):
+    path = tmp_path / "x.cgmat"
+    with pytest.raises(ValueError):
+        save_matrix(path, np.zeros((2, 2)), meta=meta)
+    assert not path.exists()
 
 
 def test_matrix_reserved_keys_rejected(rng, tmp_path):
