@@ -4,28 +4,8 @@ Core model math lives in cgdbm.model, exact small-model oracles in
 cgdbm.exact, the training loop in cgdbm.training, free-running sampling in
 cgdbm.sampling, patch/whitening/grating utilities in cgdbm.stimuli, and the
 correlation / map / SOM analyses in cgdbm.analysis.  cgdbm.cli wires the
-pipeline together behind the `cgdbm` command.
+pipeline together behind the `cgdbm` command.  Import names from those
+submodules; the package re-exports nothing.
 """
 
 __version__ = "0.1.0"
-
-from .model import (  # noqa: F401
-    EnergyGradient,
-    FullState,
-    ModelParams,
-    Offsets,
-    SIGMA2_FLOOR,
-    cond_hidden1,
-    cond_hidden2,
-    cond_visible,
-    energy,
-    energy_gradients,
-    unnormalized_log_prob,
-)
-from .exact import (  # noqa: F401
-    brute_force_hidden_marginal,
-    hidden_free_energy,
-    log_likelihood,
-    log_partition,
-    to_uncentered,
-)

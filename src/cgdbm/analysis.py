@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ConfigError, DomainError, ShapeError
 from .model import ModelParams, Offsets
@@ -96,6 +95,8 @@ def significance_threshold(n: int, alpha: float) -> float:
         raise DomainError("need n >= 4 samples")
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
+    from scipy.special import stdtrit  # loaded only by the stage that needs it
+
     t = float(stdtrit(n - 2, 1.0 - alpha / 2.0))
     return t / np.sqrt(t * t + n - 2)
 
@@ -214,11 +215,6 @@ def circular_distance(i, j, n: int):
     return np.minimum(d, n - d)
 
 
-def _bmu(nodes: np.ndarray, v: np.ndarray) -> int:
-    d2 = np.sum((nodes - v) ** 2, axis=1)
-    return int(np.argmin(d2))  # argmin takes the lowest index on ties
-
-
 def quantization_error(nodes: np.ndarray, frames: np.ndarray) -> float:
     """Mean Euclidean distance from each frame to its best-matching node."""
     d2 = (np.sum(frames**2, axis=1)[:, None] - 2.0 * frames @ nodes.T
@@ -248,6 +244,10 @@ def train_som(frames, cfg: SomConfig = SomConfig(),
     lattice = np.arange(cfg.n_nodes)
     d = circular_distance(lattice[:, None], lattice[None, :], cfg.n_nodes)
     qe = np.empty(cfg.n_epochs)
+    # per-frame scratch, reused so the inner loop allocates nothing
+    diff = np.empty_like(nodes)
+    work = np.empty_like(nodes)
+    d2 = np.empty(cfg.n_nodes)
     for epoch in range(cfg.n_epochs):
         if cfg.n_epochs == 1:
             frac = 0.0
@@ -255,12 +255,21 @@ def train_som(frames, cfg: SomConfig = SomConfig(),
             frac = epoch / (cfg.n_epochs - 1)
         lr = (1.0 - frac) * cfg.lr_start + frac * cfg.lr_end
         radius = (1.0 - frac) * cfg.radius_start + frac * cfg.radius_end
-        # row b: learning rate times the neighborhood around node b
-        step = lr * np.exp(-(d * d) / (2.0 * radius * radius))
+        # step[b]: learning rate times the neighborhood around node b, one
+        # row per node, repeated across the frame width so that scaling
+        # the (n_nodes, M) update is one contiguous multiply
+        step = np.repeat(lr * np.exp(-(d * d) / (2.0 * radius * radius))
+                         [:, :, None], f.shape[1], axis=2)
         order = rng.permutation(f.shape[0])
         for i in order:
-            v = f[i]
-            nodes += step[_bmu(nodes, v)][:, None] * (v - nodes)
+            # nodes += s * (v - nodes), computed as nodes -= s * diff with
+            # diff = nodes - v: negation is exact, so the bits are the same
+            np.subtract(nodes, f[i], out=diff)
+            np.square(diff, out=work)
+            np.add.reduce(work, axis=1, out=d2)  # the sum np.sum would do
+            b = d2.argmin()  # lowest index on ties
+            np.multiply(step[b], diff, out=work)
+            nodes -= work
         qe[epoch] = quantization_error(nodes, f)
     return SomModel(nodes=nodes, qe_history=qe)
 

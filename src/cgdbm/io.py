@@ -33,10 +33,11 @@ def _digest(payload: bytes) -> bytes:
 def _write_framed(path, magic: bytes, header: dict[str, str],
                   payload: bytes) -> None:
     for k, v in header.items():
-        if "\n" in k or "=" in k or "\n" in v:
-            raise ValueError(f"header entry {k!r}={v!r}: keys may not contain "
-                             "'=' or a newline, values may not contain a "
-                             "newline")
+        if ("\n" in k or "=" in k or "\n" in v
+                or not (k.isascii() and v.isascii())):
+            raise ValueError(f"header entry {k!r}={v!r}: keys and values must "
+                             "be ascii, keys may not contain '=' or a "
+                             "newline, values may not contain a newline")
     lines = b"".join(f"{k}={header[k]}\n".encode("ascii") for k in sorted(header))
     with open(path, "wb") as fh:
         fh.write(magic)
@@ -63,6 +64,8 @@ def _read_framed(path, magic: bytes) -> tuple[dict[str, str], bytes]:
             break
         if b"=" not in line:
             raise FormatError(f"{path}: malformed header line {line!r}")
+        if not line.isascii():
+            raise FormatError(f"{path}: non-ascii header line {line!r}")
         k, v = line.split(b"=", 1)
         header[k.decode("ascii")] = v.decode("ascii")
     body = blob[pos:]

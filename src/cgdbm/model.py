@@ -18,12 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import DomainError, NumericError, ShapeError
 
 # Lower bound applied to the visible variances wherever they are set.
 SIGMA2_FLOOR = 1e-4
+
+
+def sigmoid(x):
+    """Logistic function, elementwise: scipy's ``expit``.
+
+    scipy is imported on the first call rather than with this module, so
+    a process that never samples a unit does not pay for loading it.
+    Training is chaotic at the scale of one ulp, so a hand-written numpy
+    logistic, which differs from ``expit`` in the last bits, would change
+    every trained model.
+    """
+    from scipy.special import expit
+
+    return expit(x)
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import ConfigError, NumericError, ShapeError
 from .model import (
@@ -33,6 +32,7 @@ from .model import (
     cond_hidden1,
     cond_hidden2,
     cond_visible,
+    sigmoid,
 )
 
 

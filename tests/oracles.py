@@ -3,7 +3,9 @@
 Everything in this file recomputes quantities from the energy definition
 alone (finite differences, explicit enumeration, numerical quadrature),
 deliberately not sharing code paths with the package internals beyond the
-scalar `energy` function itself.
+scalar `energy` function itself.  The SOM reference is the exception: it
+is a plain per-frame loop compared bit for bit, so it shares the lattice
+distance and the quantization error with `train_som`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from cgdbm.analysis import SomConfig, circular_distance, quantization_error
 from cgdbm.model import FullState, ModelParams, Offsets, energy
 
 
@@ -169,3 +172,32 @@ def random_state(rng: np.random.Generator, L: int, M: int, N: int) -> FullState:
         y=(rng.random(M) < 0.5).astype(float),
         z=(rng.random(N) < 0.5).astype(float),
     )
+
+
+def som_reference(frames: np.ndarray, cfg: SomConfig):
+    """Online Kohonen training with the straightforward per-frame step
+    (fresh arrays for every distance and update).  Returns the nodes and
+    the per-epoch quantization error; `train_som` must match both bit for
+    bit, so its in-place arithmetic may reorder nothing."""
+    f = np.asarray(frames, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    nodes = f[rng.choice(f.shape[0], size=cfg.n_nodes, replace=False)].copy()
+    lattice = np.arange(cfg.n_nodes)
+    d = circular_distance(lattice[:, None], lattice[None, :], cfg.n_nodes)
+    qe = np.empty(cfg.n_epochs)
+    for epoch in range(cfg.n_epochs):
+        if cfg.n_epochs == 1:
+            frac = 0.0
+        else:
+            frac = epoch / (cfg.n_epochs - 1)
+        lr = (1.0 - frac) * cfg.lr_start + frac * cfg.lr_end
+        radius = (1.0 - frac) * cfg.radius_start + frac * cfg.radius_end
+        step = lr * np.exp(-(d * d) / (2.0 * radius * radius))
+        order = rng.permutation(f.shape[0])
+        for i in order:
+            v = f[i]
+            d2 = np.sum((nodes - v) ** 2, axis=1)
+            bmu = int(np.argmin(d2))  # argmin takes the lowest index on ties
+            nodes += step[bmu][:, None] * (v - nodes)
+        qe[epoch] = quantization_error(nodes, f)
+    return nodes, qe

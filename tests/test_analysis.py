@@ -19,7 +19,7 @@ from cgdbm.model import ModelParams, Offsets
 from cgdbm.stimuli import fit_whitener, generate_gratings, group_by_orientation
 from cgdbm.training import TrainConfig
 
-from oracles import random_model
+from oracles import random_model, som_reference
 
 
 def make_maps(rng, k=8, width=200):
@@ -276,6 +276,44 @@ def test_som_deterministic(rng):
     b = train_som(frames, cfg)
     np.testing.assert_array_equal(a.nodes, b.nodes)
     np.testing.assert_array_equal(a.qe_history, b.qe_history)
+
+
+def _ring(n, seed):
+    angles = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=n)
+    ring = np.zeros((n, 12))
+    ring[:, 0] = np.cos(angles)
+    ring[:, 1] = np.sin(angles)
+    return ring
+
+
+def _tied(seed):
+    # two distinct rows, many copies each: 6 initial nodes drawn from them
+    # hold duplicates, so BMU candidates at exactly equal distance occur
+    rows = np.random.default_rng(seed).uniform(size=(2, 9))
+    return np.tile(rows, (40, 1))
+
+
+def _binary(seed):
+    # 0/1 frames sit at many near-equal distances from the nodes, so the
+    # rounding of each distance decides some BMUs
+    return np.random.default_rng(seed).integers(0, 2, size=(300, 9)) * 1.0
+
+
+@pytest.mark.parametrize("frames, cfg", [
+    (_ring(600, 909), SomConfig(n_epochs=20, radius_start=4.0, lr_start=0.25,
+                                seed=4)),
+    (np.random.default_rng(3).uniform(size=(300, 9)),
+     SomConfig(n_nodes=8, n_epochs=1, seed=5)),
+    (_tied(7), SomConfig(n_nodes=6, n_epochs=4, radius_start=2.0, seed=8)),
+    (_binary(1), SomConfig(n_nodes=8, n_epochs=3, seed=1)),
+    (np.random.default_rng(11).uniform(size=(2000, 64)),
+     SomConfig(n_epochs=3, seed=2)),
+], ids=["a09a_ring", "one_epoch", "bmu_ties", "binary", "desk_width"])
+def test_som_matches_reference_loop_exactly(frames, cfg):
+    som = train_som(frames, cfg)
+    nodes, qe = som_reference(frames, cfg)
+    assert np.array_equal(som.nodes, nodes)
+    assert np.array_equal(som.qe_history, qe)
 
 
 def test_quantization_error_matches_loop(rng):

@@ -1,5 +1,6 @@
 """End-to-end subcommand tests on a tiny synthetic run."""
 
+import shutil
 import subprocess
 import sys
 
@@ -198,6 +199,17 @@ def test_exit_codes(run_dir, tmp_path):
     assert main(["report", "--out-dir", str(tmp_path / "nowhere")]) == 2
 
 
+def test_non_ascii_header_exit_code(run_dir, tmp_path):
+    root, cfg, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    frames = (run / "frames.cgmat").read_bytes()
+    assert b"kind=spontaneous" in frames
+    (run / "frames.cgmat").write_bytes(
+        frames.replace(b"kind=spontaneous", b"kind=spontan\xe9ous", 1))
+    assert main(["analyze", "--config", str(cfg), "--out-dir", str(run)]) == 4
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exit_code_and_checkpoint(run_dir, tmp_path):
     root, cfg, out = run_dir
@@ -236,3 +248,18 @@ def test_cli_import_skips_scipy_stats():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_and_report_skip_scipy(tmp_path):
+    # scipy is loaded by the stages that sample or test, never on import:
+    # prepare and report do not pay for it
+    (tmp_path / "summary.txt").write_text("significant_fraction = 0.5\n")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cgdbm.cli import main; "
+         "loaded = 'scipy' in sys.modules; "
+         f"rc = main(['report', '--out-dir', {str(tmp_path)!r}]); "
+         "print(loaded, rc, 'scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["False", "0", "False"]

@@ -87,12 +87,23 @@ def test_matrix_golden_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("meta", [{"note": "two\nlines"}, {"k": "v\n"},
-                                  {"a=b": "c"}, {"a\nb": "c"}])
+                                  {"a=b": "c"}, {"a\nb": "c"},
+                                  {"kind": "caf\u00e9"}, {"caf\u00e9": "x"}])
 def test_matrix_unreadable_header_rejected(tmp_path, meta):
     path = tmp_path / "x.cgmat"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="header entry"):
         save_matrix(path, np.zeros((2, 2)), meta=meta)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("old, new", [(b"kind=golden", b"kind=gold\xe9n"),
+                                      (b"kind=golden", b"k\xe9nd=golden")])
+def test_matrix_non_ascii_header_rejected(tmp_path, old, new):
+    path = tmp_path / "x.cgmat"
+    save_matrix(path, np.zeros((2, 2)), meta={"kind": "golden"})
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(FormatError, match="non-ascii"):
+        load_matrix(path)
 
 
 def test_matrix_reserved_keys_rejected(rng, tmp_path):

@@ -17,6 +17,7 @@ from cgdbm.model import (
     cond_visible,
     energy,
     energy_gradients,
+    sigmoid,
     unnormalized_log_prob,
 )
 from oracles import (
@@ -189,3 +190,11 @@ class TestGradients:
             np.testing.assert_allclose(g.db_y, db_y, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(g.db_z, db_z, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(g.dsigma, dsigma, rtol=1e-5, atol=1e-7)
+
+
+def test_sigmoid_is_expit_bit_for_bit(rng):
+    from scipy.special import expit
+
+    x = rng.normal(size=100_000) * np.geomspace(1.0, 800.0, 100_000)
+    x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    assert np.array_equal(sigmoid(x), expit(x), equal_nan=True)
