@@ -146,8 +146,7 @@ def correlate(frames, map_set: OrientationMapSet,
     all the histogram is all zeros.  Constant frames correlate with
     nothing (r = 0) and are never significant.
     """
-    f = np.atleast_2d(np.asarray(getattr(frames, "frames", frames),
-                                 dtype=np.float64))
+    f = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if f.shape[1] != map_set.width:
         raise ShapeError(f"frame width {f.shape[1]} does not match map "
                          f"width {map_set.width}")
@@ -222,8 +221,7 @@ def quantization_error(nodes: np.ndarray, frames: np.ndarray) -> float:
     return float(np.mean(np.sqrt(np.maximum(d2.min(axis=1), 0.0))))
 
 
-def train_som(frames, cfg: SomConfig = SomConfig(),
-              rng: np.random.Generator | None = None) -> SomModel:
+def train_som(frames, cfg: SomConfig = SomConfig()) -> SomModel:
     """Classic online Kohonen training on a circular lattice.
 
     Nodes start as a random distinct sample of the frames.  Each epoch
@@ -233,13 +231,11 @@ def train_som(frames, cfg: SomConfig = SomConfig(),
     epoch.  Quantization error is measured after each epoch.
     """
     cfg.validate()
-    f = np.atleast_2d(np.asarray(getattr(frames, "frames", frames),
-                                 dtype=np.float64))
+    f = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if f.shape[0] < cfg.n_nodes:
         raise DomainError(f"need at least {cfg.n_nodes} frames, "
                           f"got {f.shape[0]}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     nodes = f[rng.choice(f.shape[0], size=cfg.n_nodes, replace=False)].copy()
     lattice = np.arange(cfg.n_nodes)
     d = circular_distance(lattice[:, None], lattice[None, :], cfg.n_nodes)

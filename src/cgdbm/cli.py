@@ -68,8 +68,9 @@ def cmd_prepare(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError(f"image directory {image_dir} does not exist")
     rng = np.random.default_rng(stage_seed(cfg.seed, "prepare"))
     images = load_grayscale_images(image_dir)
-    pcfg = cfg.data.patch_config(seed=stage_seed(cfg.seed, "prepare"))
-    train_px, test_px = extract_patches(images, pcfg, rng)
+    train_px, test_px = extract_patches(images, cfg.data.patch_side,
+                                        cfg.data.n_patches,
+                                        cfg.data.train_fraction, rng)
     w = fit_whitener(train_px, cfg.data.pca_k)
     train_white = whiten(w, train_px)
     test_white = whiten(w, test_px)
@@ -148,13 +149,15 @@ def cmd_sample(cfg: RunConfig, out_dir: Path, chains: int | None,
     scfg.validate()
     p_init = average_initial_probability(params, offsets, data, cfg.training)
     frames = run_spontaneous_session(params, offsets, p_init, scfg)
-    meta = {k: str(v) for k, v in frames.meta.items()}
-    meta["kind"] = frames.kind
-    save_matrix(out_dir / FRAMES, frames.frames, meta=meta)
+    save_matrix(out_dir / FRAMES, frames,
+                meta={"kind": "spontaneous", "layout": "recording-major",
+                      "n_chains": str(scfg.n_chains),
+                      "n_iterations": str(scfg.n_iterations),
+                      "record_every": str(scfg.record_every),
+                      "seed": str(scfg.seed)})
     save_matrix(out_dir / P_INIT, p_init[None, :],
                 meta={"kind": "initial_probability"})
-    print(f"sample: {frames.frames.shape[0]} frames of width "
-          f"{frames.frames.shape[1]}")
+    print(f"sample: {frames.shape[0]} frames of width {frames.shape[1]}")
     return 0
 
 
@@ -209,7 +212,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     ctrl_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 4, 1]).generate_state(1)[0])
     control = random_control_frames(p_init_mat[0], n_control, ctrl_rng)
-    ctrl_rep = correlate(control.frames, map_set, threshold)
+    ctrl_rep = correlate(control, map_set, threshold)
 
     som = train_som(frames, acfg.som_config(stage_seed(cfg.seed, "analyze")))
     som_best, som_best_r, _ = correlate_som(som, map_set)

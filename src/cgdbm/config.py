@@ -26,7 +26,6 @@ import numpy as np
 from .analysis import SomConfig
 from .errors import ConfigError
 from .sampling import SessionConfig
-from .stimuli import PatchConfig
 from .training import TrainConfig
 
 # fixed stage tags keep per-stage randomness independent of one another
@@ -49,11 +48,16 @@ class DataConfig:
     train_fraction: float = 0.9
     pca_k: int = 100
 
-    def patch_config(self, seed: int) -> PatchConfig:
-        return PatchConfig(patch_side=self.patch_side,
-                           n_patches=self.n_patches,
-                           train_fraction=self.train_fraction,
-                           pca_k=self.pca_k, seed=seed).validate()
+    def validate(self) -> "DataConfig":
+        if self.patch_side < 2:
+            raise ConfigError("patch_side must be at least 2")
+        if self.n_patches < 2:
+            raise ConfigError("n_patches must be at least 2")
+        if not (0.0 < self.train_fraction < 1.0):
+            raise ConfigError("train_fraction must lie in (0, 1)")
+        if self.pca_k < 1 or self.pca_k > self.patch_side**2:
+            raise ConfigError("pca_k must lie in [1, patch_side^2]")
+        return self
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ class RunConfig:
             raise ConfigError(f"model L={self.model.L} must equal "
                               f"data pca_k={self.data.pca_k}")
         self.model.validate()
-        self.data.patch_config(seed=0)
+        self.data.validate()
         self.training.validate()
         self.sampling.validate()
         self.analysis.validate()

@@ -2,12 +2,13 @@
 
 Both binary formats share one framing: an ascii magic line, ascii
 ``key=value`` header lines closed by one blank line, a little-endian
-float64 payload, and a trailing 8-byte BLAKE2b digest of the payload
-bytes.  Model snapshots use magic ``CGDBM2`` and carry the parameter
-arrays in a fixed order; everything else (datasets, frames, whiteners)
-travels in ``CGMAT2`` matrix containers with free-form metadata keys.
-Version-1 files, which carried a CRC-64 trailer, are rejected as bad
-magic.
+float64 payload, and a trailing 8-byte BLAKE2b digest of every byte
+before it (magic, header and payload), so an edited header value is
+caught like a flipped payload bit.  Model snapshots use magic ``CGDBM3``
+and carry the parameter arrays in a fixed order; everything else
+(datasets, frames, whiteners) travels in ``CGMAT3`` matrix containers
+with free-form metadata keys.  Version-1 files (CRC-64 trailer) and
+version-2 files (digest of the payload only) are rejected as bad magic.
 
 Writers emit headers in sorted key order and never include timestamps, so
 rewriting the same content produces byte-identical files.
@@ -22,12 +23,8 @@ import numpy as np
 from .errors import FormatError
 from .model import ModelParams, Offsets
 
-MODEL_MAGIC = b"CGDBM2\n"
-MATRIX_MAGIC = b"CGMAT2\n"
-
-
-def _digest(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=8).digest()
+MODEL_MAGIC = b"CGDBM3\n"
+MATRIX_MAGIC = b"CGMAT3\n"
 
 
 def _write_framed(path, magic: bytes, header: dict[str, str],
@@ -38,16 +35,22 @@ def _write_framed(path, magic: bytes, header: dict[str, str],
             raise ValueError(f"header entry {k!r}={v!r}: keys and values must "
                              "be ascii, keys may not contain '=' or a "
                              "newline, values may not contain a newline")
-    lines = b"".join(f"{k}={header[k]}\n".encode("ascii") for k in sorted(header))
+    head = magic + b"".join(f"{k}={header[k]}\n".encode("ascii")
+                            for k in sorted(header)) + b"\n"
+    # two updates, so the payload (many megabytes for a dataset) is
+    # never copied to sit next to the header
+    digest = hashlib.blake2b(head, digest_size=8)
+    digest.update(payload)
     with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(lines)
-        fh.write(b"\n")
+        fh.write(head)
         fh.write(payload)
-        fh.write(_digest(payload))
+        fh.write(digest.digest())
 
 
-def _read_framed(path, magic: bytes) -> tuple[dict[str, str], bytes]:
+def _read_framed(path, magic: bytes) -> tuple[dict[str, str], memoryview]:
+    """Header and payload of a framed file.  The header is parsed before
+    the digest is checked, so a malformed header reports what is wrong
+    with it; the payload is a view into the file's bytes, not a copy."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(magic):
@@ -68,13 +71,12 @@ def _read_framed(path, magic: bytes) -> tuple[dict[str, str], bytes]:
             raise FormatError(f"{path}: non-ascii header line {line!r}")
         k, v = line.split(b"=", 1)
         header[k.decode("ascii")] = v.decode("ascii")
-    body = blob[pos:]
-    if len(body) < 8:
+    if len(blob) - pos < 8:
         raise FormatError(f"{path}: truncated, no checksum")
-    payload, check = body[:-8], body[-8:]
-    if _digest(payload) != check:
+    view = memoryview(blob)
+    if hashlib.blake2b(view[:-8], digest_size=8).digest() != blob[-8:]:
         raise FormatError(f"{path}: checksum mismatch")
-    return header, payload
+    return header, view[pos:-8]
 
 
 def _header_int(header: dict[str, str], key: str, path) -> int:

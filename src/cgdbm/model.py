@@ -1,4 +1,4 @@
-"""Centered Gaussian-binary deep Boltzmann machine: energy, conditionals, gradients.
+"""Centered Gaussian-binary deep Boltzmann machine: energy and conditionals.
 
 Three layers: a real-valued visible layer x with per-unit Gaussian noise,
 a binary hidden layer y, and a binary hidden layer z on top of y.  Every
@@ -11,6 +11,8 @@ offset-subtracted activations:
                  - (y - cy)^T U (z - cz)
 
 with s_i^2 the visible variances.  P(x, y, z) is exp(-E) normalized.
+The gradients of -E that training follows are batch statistics, computed
+in `cgdbm.training.batch_gradient_stats`.
 """
 
 from __future__ import annotations
@@ -111,39 +113,6 @@ class Offsets:
         return (self.c_x.shape[0], self.c_y.shape[0], self.c_z.shape[0])
 
 
-@dataclass(frozen=True)
-class FullState:
-    """One joint configuration: real x, binary y and z."""
-
-    x: np.ndarray  # (L,)
-    y: np.ndarray  # (M,) entries in {0, 1}
-    z: np.ndarray  # (N,) entries in {0, 1}
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_float_array(self.x, "x", 1))
-        object.__setattr__(self, "y", _as_float_array(self.y, "y", 1))
-        object.__setattr__(self, "z", _as_float_array(self.z, "z", 1))
-        if not np.all(np.isfinite(self.x)):
-            raise DomainError("x must be finite")
-        for name in ("y", "z"):
-            v = getattr(self, name)
-            if not np.all((v == 0.0) | (v == 1.0)):
-                raise DomainError(f"{name} entries must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class EnergyGradient:
-    """Partial derivatives of -E at a single state, one block per
-    parameter group.  dsigma is taken with respect to the standard
-    deviations s_i, not the variances."""
-
-    dW: np.ndarray      # (L, M)
-    dU: np.ndarray      # (M, N)
-    db_y: np.ndarray    # (M,)
-    db_z: np.ndarray    # (N,)
-    dsigma: np.ndarray  # (L,)
-
-
 def check_dims(p: ModelParams, c: Offsets) -> tuple[int, int, int]:
     """Validate that parameters and offsets describe the same model."""
     if p.dims != c.dims:
@@ -151,27 +120,27 @@ def check_dims(p: ModelParams, c: Offsets) -> tuple[int, int, int]:
     return p.dims
 
 
-def energy(s: FullState, p: ModelParams, c: Offsets) -> float:
-    """Energy of one joint state.  Lower energy means higher probability."""
+def energy(x, y, z, p: ModelParams, c: Offsets) -> np.ndarray:
+    """Energy of each joint state (x[r], y[r], z[r]), one value per row.
+    Lower energy means higher probability."""
     L, M, N = check_dims(p, c)
-    if s.x.shape != (L,) or s.y.shape != (M,) or s.z.shape != (N,):
-        raise ShapeError(f"state shapes {(s.x.shape, s.y.shape, s.z.shape)} "
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if (x.shape[1:] != (L,) or y.shape[1:] != (M,) or z.shape[1:] != (N,)
+            or not x.shape[0] == y.shape[0] == z.shape[0]):
+        raise ShapeError(f"state shapes {(x.shape, y.shape, z.shape)} "
                          f"do not match dims {(L, M, N)}")
-    t = s.x - c.c_x
-    yc = s.y - c.c_y
-    zc = s.z - c.c_z
-    inv = 1.0 / p.sigma2
-    quad = 0.5 * np.dot(t * inv, t)
-    coupling = np.dot(t * inv, p.W @ yc)
-    e = quad - coupling - np.dot(p.b_y, yc) - np.dot(p.b_z, zc) - yc @ p.U @ zc
-    if not np.isfinite(e):
+    t = x - c.c_x
+    yc = y - c.c_y
+    zc = z - c.c_z
+    tw = t / p.sigma2
+    quad = 0.5 * np.sum(tw * t, axis=1)
+    coupling = np.sum(tw * (yc @ p.W.T), axis=1)
+    e = quad - coupling - yc @ p.b_y - zc @ p.b_z - np.sum((yc @ p.U) * zc, axis=1)
+    if not np.all(np.isfinite(e)):
         raise NumericError(f"energy evaluated to a non-finite value ({e})")
-    return float(e)
-
-
-def unnormalized_log_prob(s: FullState, p: ModelParams, c: Offsets) -> float:
-    """log of the unnormalized probability, i.e. -energy."""
-    return -energy(s, p, c)
+    return e
 
 
 def cond_visible(y, p: ModelParams, c: Offsets):
@@ -199,19 +168,3 @@ def cond_hidden2(y, p: ModelParams, c: Offsets):
     """P(z_k = 1 | y).  Accepts a vector or a batch."""
     y = np.asarray(y, dtype=np.float64)
     return sigmoid((y - c.c_y) @ p.U + p.b_z)
-
-
-def energy_gradients(s: FullState, p: ModelParams, c: Offsets) -> EnergyGradient:
-    """Per-state gradients of -E with respect to every parameter group."""
-    check_dims(p, c)
-    t = s.x - c.c_x
-    yc = s.y - c.c_y
-    zc = s.z - c.c_z
-    inv = 1.0 / p.sigma2
-    dW = np.outer(t * inv, yc)
-    dU = np.outer(yc, zc)
-    m = p.W @ yc
-    sigma = np.sqrt(p.sigma2)
-    dsigma = (t * t - 2.0 * t * m) / sigma**3
-    return EnergyGradient(dW=dW, dU=dU, db_y=yc.copy(), db_z=zc.copy(),
-                          dsigma=dsigma)

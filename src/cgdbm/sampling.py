@@ -1,4 +1,4 @@
-"""Free-running Gibbs sessions and clamped responses.
+"""Free-running Gibbs sessions and their random controls.
 
 A session runs a population of independent chains from a data-informed
 start and records, every few sweeps, the hidden-1 conditional probability
@@ -9,15 +9,13 @@ serve as the control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import ModelParams, Offsets, check_dims, cond_hidden1
 from .training import PersistentChains, TrainConfig, gibbs_model_step, mean_field_data
-
-FRAME_KINDS = ("spontaneous", "orientation_map", "random_control", "som_node")
 
 
 @dataclass(frozen=True)
@@ -35,21 +33,6 @@ class SessionConfig:
                 f"record_every={self.record_every} must divide "
                 f"n_iterations={self.n_iterations}")
         return self
-
-
-@dataclass
-class FrameSet:
-    """A stack of hidden-1 activity vectors plus origin metadata."""
-
-    frames: np.ndarray            # (F, M)
-    kind: str
-    meta: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.frames = np.atleast_2d(np.asarray(self.frames, dtype=np.float64))
-        if self.kind not in FRAME_KINDS:
-            raise ConfigError(f"unknown frame kind {self.kind!r}; "
-                              f"expected one of {FRAME_KINDS}")
 
 
 def average_initial_probability(p: ModelParams, c: Offsets, dataset,
@@ -71,14 +54,15 @@ def average_initial_probability(p: ModelParams, c: Offsets, dataset,
 
 
 def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
-                            cfg: SessionConfig) -> FrameSet:
+                            cfg: SessionConfig) -> np.ndarray:
     """Free-running session without any clamped input.
 
     Chains start from Bernoulli draws of p_init.  After every
     `record_every` sweeps the conditional probability vector
     P(y | x, z) of each chain is recorded (the same distribution the
     sweep's y sample was drawn from).  Frames are stacked recording by
-    recording, chains in index order within each recording.
+    recording, chains in index order within each recording: an
+    (n_iterations / record_every * n_chains, M) array.
     """
     cfg.validate()
     L, M, N = check_dims(p, c)
@@ -104,35 +88,15 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
             frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains] = cond_hidden1(
                 chains.x, chains.z, p, c)
             rec += 1
-    meta = {
-        "kind": "spontaneous",
-        "seed": str(cfg.seed),
-        "n_chains": str(cfg.n_chains),
-        "n_iterations": str(cfg.n_iterations),
-        "record_every": str(cfg.record_every),
-        "layout": "recording-major",
-    }
-    return FrameSet(frames=frames, kind="spontaneous", meta=meta)
+    return frames
 
 
 def random_control_frames(p_init, count: int,
-                          rng: np.random.Generator) -> FrameSet:
+                          rng: np.random.Generator) -> np.ndarray:
     """Bernoulli noise frames matched to the session's initial rates."""
     p_init = np.asarray(p_init, dtype=np.float64)
     if p_init.ndim != 1:
         raise ShapeError("p_init must be a vector")
     if count < 1:
         raise ConfigError("count must be positive")
-    frames = (rng.random((count, p_init.shape[0])) < p_init).astype(np.float64)
-    return FrameSet(frames=frames, kind="random_control",
-                    meta={"kind": "random_control", "count": str(count)})
-
-
-def clamped_response(p: ModelParams, c: Offsets, stimulus,
-                     cfg: TrainConfig) -> np.ndarray:
-    """Mean-field hidden-1 probabilities for one clamped stimulus vector."""
-    stimulus = np.asarray(stimulus, dtype=np.float64)
-    if stimulus.ndim != 1:
-        raise ShapeError("stimulus must be a single vector")
-    mf = mean_field_data(stimulus[None, :], p, c, cfg)
-    return mf.y[0]
+    return (rng.random((count, p_init.shape[0])) < p_init).astype(np.float64)

@@ -19,26 +19,6 @@ from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .io import load_matrix, read_pgm, save_matrix
 
 
-@dataclass(frozen=True)
-class PatchConfig:
-    patch_side: int = 12
-    n_patches: int = 20000
-    train_fraction: float = 0.9
-    pca_k: int = 100
-    seed: int = 0
-
-    def validate(self) -> "PatchConfig":
-        if self.patch_side < 2:
-            raise ConfigError("patch_side must be at least 2")
-        if self.n_patches < 2:
-            raise ConfigError("n_patches must be at least 2")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError("train_fraction must lie in (0, 1)")
-        if self.pca_k < 1 or self.pca_k > self.patch_side**2:
-            raise ConfigError("pca_k must lie in [1, patch_side^2]")
-        return self
-
-
 def load_grayscale_images(directory) -> list[np.ndarray]:
     """All .pgm and .cgmat images in a directory, sorted by filename.
     PGM pixel values are scaled to [0, 1]; .cgmat matrices are taken
@@ -58,29 +38,28 @@ def load_grayscale_images(directory) -> list[np.ndarray]:
     return images
 
 
-def extract_patches(images, cfg: PatchConfig,
+def extract_patches(images, side: int, n_patches: int, train_fraction: float,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Cut n_patches random square patches and split them into train and
-    test rows (flattened row-major).
+    """Cut n_patches random side x side patches and split them into train
+    and test rows (flattened row-major), train_fraction of them for
+    training.
 
     Each patch picks an image uniformly among those large enough, then a
     uniform top-left corner.  Images smaller than the patch are skipped.
     """
-    cfg.validate()
-    side = cfg.patch_side
     usable = [np.asarray(img, dtype=np.float64) for img in images
               if img.shape[0] >= side and img.shape[1] >= side]
     if not usable:
         raise DomainError(f"no image is at least {side}x{side}")
-    out = np.empty((cfg.n_patches, side * side))
-    idx = rng.integers(0, len(usable), size=cfg.n_patches)
-    for i in range(cfg.n_patches):
+    out = np.empty((n_patches, side * side))
+    idx = rng.integers(0, len(usable), size=n_patches)
+    for i in range(n_patches):
         img = usable[idx[i]]
         r = rng.integers(0, img.shape[0] - side + 1)
         c = rng.integers(0, img.shape[1] - side + 1)
         out[i] = img[r:r + side, c:c + side].ravel()
-    n_train = int(round(cfg.train_fraction * cfg.n_patches))
-    n_train = min(max(n_train, 1), cfg.n_patches - 1)
+    n_train = int(round(train_fraction * n_patches))
+    n_train = min(max(n_train, 1), n_patches - 1)
     return out[:n_train], out[n_train:]
 
 
@@ -150,11 +129,6 @@ class GratingSpec:
     amplitude: float
 
 
-def default_orientations() -> np.ndarray:
-    """Eight orientations, 0 to 157.5 degrees in 22.5 degree steps."""
-    return np.arange(8) * 22.5
-
-
 def default_frequencies(patch_side: int, count: int = 6) -> np.ndarray:
     """Log-spaced spatial frequencies from one cycle per patch up to a
     quarter of the patch side."""
@@ -163,12 +137,8 @@ def default_frequencies(patch_side: int, count: int = 6) -> np.ndarray:
     return np.geomspace(1.0, patch_side / 4.0, count)
 
 
-def default_phases() -> np.ndarray:
-    return np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
-
-
-def generate_gratings(patch_side: int, orientations_deg=None, frequencies=None,
-                      phases=None, amplitude: float = 1.0,
+def generate_gratings(patch_side: int, orientations_deg, frequencies, phases,
+                      amplitude: float = 1.0,
                       ) -> tuple[np.ndarray, list[GratingSpec]]:
     """Full-field cosine gratings as flattened patches.
 
@@ -176,12 +146,6 @@ def generate_gratings(patch_side: int, orientations_deg=None, frequencies=None,
     with t the orientation in radians.  Rows are ordered orientation-major,
     then frequency, then phase.
     """
-    if orientations_deg is None:
-        orientations_deg = default_orientations()
-    if frequencies is None:
-        frequencies = default_frequencies(patch_side)
-    if phases is None:
-        phases = default_phases()
     rr, cc = np.meshgrid(np.arange(patch_side), np.arange(patch_side),
                          indexing="ij")
     patches = []
@@ -204,17 +168,6 @@ def mean_centered_norm(patches) -> float:
     x = np.atleast_2d(np.asarray(patches, dtype=np.float64))
     xc = x - x.mean(axis=0)
     return float(np.mean(np.linalg.norm(xc, axis=1)))
-
-
-def target_amplitude(natural_patches, unit_gratings) -> float:
-    """Amplitude that matches the mean grating norm to the mean norm of
-    the mean-subtracted natural patches.  unit_gratings must be generated
-    with amplitude 1; the grating norm is linear in the amplitude."""
-    g = np.atleast_2d(np.asarray(unit_gratings, dtype=np.float64))
-    g_norm = float(np.mean(np.linalg.norm(g, axis=1)))
-    if g_norm <= 0.0:
-        raise DomainError("unit gratings have zero mean norm")
-    return mean_centered_norm(natural_patches) / g_norm
 
 
 def save_whitener(path, w: Whitener, extra_meta: dict | None = None) -> None:

@@ -105,7 +105,9 @@ class PersistentChains:
 
 @dataclass(frozen=True)
 class GradientStats:
-    """Batch means of the per-state gradients of -E."""
+    """Batch means of the per-state gradients of -E, one block per
+    parameter group.  dsigma is taken with respect to the standard
+    deviations s_i, not the variances."""
 
     dW: np.ndarray
     dU: np.ndarray
@@ -317,8 +319,7 @@ def update_offsets(c: Offsets, batch_mean_y, batch_mean_z, batch_mean_x,
     return new_c, db_y, db_z
 
 
-def reconstruction_error(p: ModelParams, c: Offsets, data,
-                         cfg: TrainConfig | None = None) -> float:
+def reconstruction_error(p: ModelParams, c: Offsets, data) -> float:
     """Mean squared reconstruction distance after one bottom-up/top-down
     pass: y from the data with the top layer at rest, then the visible
     conditional mean from y."""
@@ -341,19 +342,17 @@ class TrainResult:
 
 
 def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
-          rng: np.random.Generator | None = None,
           progress=None) -> TrainResult:
     """Run the full training schedule on the dataset rows.
 
-    A validation slice (cfg.val_fraction of the rows, chosen by the rng)
-    is held out for the stopping rule; training stops after `patience`
+    A validation slice (cfg.val_fraction of the rows, chosen by an rng
+    seeded from cfg.seed, which drives every draw of the run) is held out for the stopping rule; training stops after `patience`
     epochs without a new best validation reconstruction error.  Raises
     TrainingDiverged, carrying the last finite state, if parameters leave
     the finite range.
     """
     cfg.validate()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     data = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
     L, M, N = dims
     if data.shape[1] != L:

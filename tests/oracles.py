@@ -3,9 +3,10 @@
 Everything in this file recomputes quantities from the energy definition
 alone (finite differences, explicit enumeration, numerical quadrature),
 deliberately not sharing code paths with the package internals beyond the
-scalar `energy` function itself.  The SOM reference is the exception: it
-is a plain per-frame loop compared bit for bit, so it shares the lattice
-distance and the quantization error with `train_som`.
+row-batched `energy` function itself, which `raw_energy` checks.  The SOM
+reference is the exception: it is a plain per-frame loop compared bit for
+bit, so it shares the lattice distance and the quantization error with
+`train_som`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from cgdbm.analysis import SomConfig, circular_distance, quantization_error
-from cgdbm.model import FullState, ModelParams, Offsets, energy
+from cgdbm.model import ModelParams, Offsets, energy
 
 
 def raw_energy(x, y, z, W, U, b_y, b_z, sigma2, c_x, c_y, c_z) -> float:
@@ -38,14 +39,15 @@ def raw_energy(x, y, z, W, U, b_y, b_z, sigma2, c_x, c_y, c_z) -> float:
     return e
 
 
-def fd_gradients(s: FullState, p: ModelParams, c: Offsets, h: float = 1e-5):
-    """Central finite differences of -E for every parameter group.
+def fd_gradients(x, y, z, p: ModelParams, c: Offsets, h: float = 1e-5):
+    """Central finite differences of the mean of -E over the state rows
+    (x[r], y[r], z[r]) for every parameter group.
 
     The sigma block differentiates with respect to the standard
     deviations: sigma2 is rebuilt as (sigma +- h)^2 for each probe.
     """
     def e_of(params: ModelParams) -> float:
-        return energy(s, params, c)
+        return float(np.mean(energy(x, y, z, params, c)))
 
     L, M = p.W.shape
     N = p.U.shape[1]
@@ -98,8 +100,7 @@ def enum_cond_hidden1(j: int, x, z, p: ModelParams, c: Offsets) -> float:
     y1 = np.zeros(M)
     y0 = np.zeros(M)
     y1[j] = 1.0
-    e1 = energy(FullState(x=x, y=y1, z=z), p, c)
-    e0 = energy(FullState(x=x, y=y0, z=z), p, c)
+    e1, e0 = energy([x, x], [y1, y0], [z, z], p, c)
     # Only the j-th unit differs, so all other terms cancel in the ratio.
     return 1.0 / (1.0 + math.exp(e1 - e0))
 
@@ -112,8 +113,7 @@ def enum_cond_hidden2(k: int, y, p: ModelParams, c: Offsets) -> float:
     z1 = np.zeros(N)
     z0 = np.zeros(N)
     z1[k] = 1.0
-    e1 = energy(FullState(x=x, y=y, z=z1), p, c)
-    e0 = energy(FullState(x=x, y=y, z=z0), p, c)
+    e1, e0 = energy([x, x], [y, y], [z1, z0], p, c)
     return 1.0 / (1.0 + math.exp(e1 - e0))
 
 
@@ -138,8 +138,8 @@ def quad_hidden_marginal(p: ModelParams, c: Offsets, span: float = 12.0,
         y = np.array([(iy >> j) & 1 for j in range(M)], dtype=float)
         for iz in range(2**N):
             z = np.array([(iz >> k) & 1 for k in range(N)], dtype=float)
-            vals = np.array([math.exp(-energy(FullState(x=np.array([xv]), y=y, z=z), p, c))
-                             for xv in xs])
+            vals = np.exp(-energy(xs[:, None], np.tile(y, (n_grid, 1)),
+                                  np.tile(z, (n_grid, 1)), p, c))
             table[iy, iz] = np.trapezoid(vals, xs)
     return table / table.sum()
 
@@ -166,12 +166,12 @@ def random_model(rng: np.random.Generator, L: int, M: int, N: int,
     return p, c
 
 
-def random_state(rng: np.random.Generator, L: int, M: int, N: int) -> FullState:
-    return FullState(
-        x=rng.standard_normal(L) * 2.0,
-        y=(rng.random(M) < 0.5).astype(float),
-        z=(rng.random(N) < 0.5).astype(float),
-    )
+def random_state(rng: np.random.Generator, L: int, M: int,
+                 N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One joint state (x, y, z): real x, binary y and z."""
+    return (rng.standard_normal(L) * 2.0,
+            (rng.random(M) < 0.5).astype(float),
+            (rng.random(N) < 0.5).astype(float))
 
 
 def som_reference(frames: np.ndarray, cfg: SomConfig):

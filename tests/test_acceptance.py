@@ -25,17 +25,16 @@ from cgdbm.analysis import (
 from cgdbm.cli import main as cli_main
 from cgdbm.exact import brute_force_hidden_marginal, to_uncentered
 from cgdbm.io import write_pgm
-from cgdbm.model import (
-    FullState,
-    cond_hidden1,
-    cond_hidden2,
-    energy,
-    energy_gradients,
-)
+from cgdbm.model import cond_hidden1, cond_hidden2, energy
 from cgdbm.sampling import random_control_frames
 from cgdbm.stimuli import dewhiten, fit_whitener, whiten
 from cgdbm.synth import make_corpus
-from cgdbm.training import PersistentChains, gibbs_model_step, update_offsets
+from cgdbm.training import (
+    PersistentChains,
+    batch_gradient_stats,
+    gibbs_model_step,
+    update_offsets,
+)
 from oracles import (
     enum_cond_hidden1,
     enum_cond_hidden2,
@@ -52,24 +51,24 @@ def ok(tag: str, detail: str) -> None:
     print(f"[{tag}] PASS {detail}")
 
 
-def random_state(rng, dims, c) -> FullState:
+def random_state(rng, dims, c):
+    """One joint state as three one-row arrays (x, y, z)."""
     L, M, N = dims
-    return FullState(
-        x=c.c_x + 1.5 * rng.standard_normal(L),
-        y=(rng.random(M) < 0.5).astype(float),
-        z=(rng.random(N) < 0.5).astype(float),
-    )
+    return ((c.c_x + 1.5 * rng.standard_normal(L))[None, :],
+            (rng.random((1, M)) < 0.5).astype(float),
+            (rng.random((1, N)) < 0.5).astype(float))
 
 
 def test_a01_gradients_match_finite_differences():
+    # the gradient statistics training uses, at a batch of one state
     rng = np.random.default_rng(101)
     t0 = time.time()
     worst = 0.0
     for _ in range(100):
         p, c = random_model(rng, 3, 4, 2)
-        s = random_state(rng, (3, 4, 2), c)
-        an = energy_gradients(s, p, c)
-        fd = fd_gradients(s, p, c)
+        x, y, z = random_state(rng, (3, 4, 2), c)
+        an = batch_gradient_stats(x, y, z, p, c)
+        fd = fd_gradients(x, y, z, p, c)
         for a, f in zip((an.dW, an.dU, an.db_y, an.db_z, an.dsigma), fd):
             rel = np.abs(f - a) / np.maximum(1.0, np.abs(a))
             worst = max(worst, float(rel.max()))
@@ -135,9 +134,11 @@ def test_a04a_uncentering_shifts_energy_uniformly():
     for _ in range(5):
         p, c = random_model(rng, 3, 4, 2)
         p2, c2 = to_uncentered(p, c)
-        diffs = [energy(s, p, c) - energy(s, p2, c2)
-                 for s in (random_state(rng, (3, 4, 2), c) for _ in range(200))]
-        worst = max(worst, max(diffs) - min(diffs))
+        # the 200 states as rows of one batch
+        x, y, z = (np.vstack(rows) for rows in zip(
+            *(random_state(rng, (3, 4, 2), c) for _ in range(200))))
+        diffs = energy(x, y, z, p, c) - energy(x, y, z, p2, c2)
+        worst = max(worst, float(diffs.max() - diffs.min()))
     assert worst <= 1e-9, f"energy-difference spread {worst:.3e} > 1e-9"
     ok("a04a", f"5 models x 200 states, worst spread {worst:.2e} (limit 1e-09)")
 
@@ -188,7 +189,7 @@ def test_a07_control_frames_match_alpha():
     frames = random_control_frames(np.full(width, 0.5), n, rng)
     maps = OrientationMapSet(orientations=np.array([0.0]),
                              maps=rng.uniform(size=(1, width)))
-    rep = correlate(frames.frames, maps, significance_threshold(width, alpha))
+    rep = correlate(frames, maps, significance_threshold(width, alpha))
     sd = math.sqrt(alpha * (1 - alpha) / n)
     err = abs(rep.significant_fraction - alpha)
     assert err <= 3 * sd, (

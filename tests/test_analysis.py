@@ -193,7 +193,7 @@ def test_orientation_maps_permutation_invariant(rng):
 def test_orientation_maps_tuned_unit_peaks_at_matching_angle(rng):
     # construct a model whose single hidden unit's filter IS a grating
     side = 8
-    g, specs = generate_gratings(side, frequencies=[2.0], phases=[0.0])
+    g, specs = generate_gratings(side, np.arange(8) * 22.5, [2.0], [0.0])
     orientations, groups = group_by_orientation(g, specs)
     target = g[2]  # orientation index 2 (45 degrees), sole phase/freq
     x = rng.normal(size=(500, side * side))

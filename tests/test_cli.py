@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cgdbm.cli import main
+from cgdbm.config import stage_seed
 from cgdbm.io import load_matrix, load_model, save_matrix, write_pgm
 from cgdbm.synth import make_corpus
 
@@ -94,8 +95,13 @@ def test_sample_outputs(run_dir):
     root, cfg, out = run_dir
     frames, meta = load_matrix(out / "frames.cgmat")
     assert frames.shape == (20, 12)  # (40/10 records) x 5 chains
-    assert meta["kind"] == "spontaneous"
     assert np.all((frames > 0) & (frames < 1))
+    # the session that made the frames, as the header records it; the
+    # seed is the sample stage's seed derived from the global seed 11
+    assert meta == {"kind": "spontaneous", "layout": "recording-major",
+                    "n_chains": "5", "n_iterations": "40",
+                    "record_every": "10", "seed": "520846937"}
+    assert meta["seed"] == str(stage_seed(11, "sample"))
     p_init, _ = load_matrix(out / "p_init.cgmat")
     assert p_init.shape == (1, 12)
 
@@ -207,6 +213,19 @@ def test_non_ascii_header_exit_code(run_dir, tmp_path):
     assert b"kind=spontaneous" in frames
     (run / "frames.cgmat").write_bytes(
         frames.replace(b"kind=spontaneous", b"kind=spontan\xe9ous", 1))
+    assert main(["analyze", "--config", str(cfg), "--out-dir", str(run)]) == 4
+
+
+def test_edited_whitener_header_exit_code(run_dir, tmp_path):
+    # analyze scales the gratings by the whitener's mean_patch_norm; an
+    # edited value must fail the digest instead of changing the analysis
+    root, cfg, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    whitener = (run / "whitener.cgmat").read_bytes()
+    assert b"mean_patch_norm=" in whitener
+    (run / "whitener.cgmat").write_bytes(
+        whitener.replace(b"mean_patch_norm=", b"mean_patch_norm=7", 1))
     assert main(["analyze", "--config", str(cfg), "--out-dir", str(run)]) == 4
 
 

@@ -83,6 +83,7 @@ def test_defaults_when_sections_missing():
     ("seed\n", "expected key = value"),
     ("[model]\nL = 42\n", "must equal"),
     ("[training]\nepochs_max = -1\n", "epochs_max"),
+    ("[data]\npatch_side = 1\n", "patch_side must be at least 2"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:

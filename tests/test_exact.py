@@ -14,14 +14,14 @@ from cgdbm.exact import (
     log_partition,
     to_uncentered,
 )
-from cgdbm.model import FullState, ModelParams, Offsets, energy
+from cgdbm.model import ModelParams, Offsets, energy
 from oracles import quad_hidden_marginal, random_model, total_variation
 
 
 def quad_free_energy(y, z, p, c):
     """-log integral over x of exp(-E), for L=1, via adaptive quadrature."""
     def integrand(xv):
-        return np.exp(-energy(FullState(x=[xv], y=y, z=z), p, c))
+        return np.exp(-energy([xv], y, z, p, c)[0])
     sigma = float(np.sqrt(p.sigma2[0]))
     mean = float(c.c_x[0] + p.W[0] @ (np.asarray(y) - c.c_y))
     val, _ = quad(integrand, mean - 14 * sigma, mean + 14 * sigma, limit=200)
@@ -108,7 +108,7 @@ class TestLogLikelihood:
                      for y in ys for z in zs)
         per_row = []
         for r in range(4):
-            s = sum(np.exp(-energy(FullState(x=xs[r], y=y, z=z), p, c))
+            s = sum(np.exp(-energy(xs[r], y, z, p, c)[0])
                     for y in ys for z in zs)
             per_row.append(np.log(s / z_quad))
         want = float(np.mean(per_row))
@@ -137,13 +137,10 @@ class TestToUncentered:
     def test_energy_difference_is_constant(self, rng):
         p, c = random_model(rng, L=3, M=4, N=3)
         p2, c2 = to_uncentered(p, c)
-        diffs = []
-        for _ in range(200):
-            x = rng.standard_normal(3) * 3.0
-            y = (rng.random(4) < 0.5).astype(float)
-            z = (rng.random(3) < 0.5).astype(float)
-            s = FullState(x=x, y=y, z=z)
-            diffs.append(energy(s, p, c) - energy(s, p2, c2))
+        x = rng.standard_normal((200, 3)) * 3.0
+        y = (rng.random((200, 4)) < 0.5).astype(float)
+        z = (rng.random((200, 3)) < 0.5).astype(float)
+        diffs = energy(x, y, z, p, c) - energy(x, y, z, p2, c2)
         assert max(diffs) - min(diffs) <= 1e-9
 
     def test_hidden_marginal_preserved(self, rng):

@@ -60,7 +60,11 @@ def test_model_wrong_magic_rejected(tmp_path):
                  # a well-formed version-1 file: zero 1x1x1 model and its
                  # CRC-64 trailer
                  b"CGDBM1\nL=1\nM=1\nN=1\n\n" + bytes(64)
-                 + bytes.fromhex("02243016a57a54de")]:
+                 + bytes.fromhex("02243016a57a54de"),
+                 # a well-formed version-2 file: the same model and the
+                 # BLAKE2b-64 of its payload alone
+                 b"CGDBM2\nL=1\nM=1\nN=1\n\n" + bytes(64)
+                 + bytes.fromhex("88939ddc986e59dd")]:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="bad magic"):
             load_model(path)
@@ -77,13 +81,30 @@ def test_matrix_round_trip_with_meta(rng, tmp_path):
 
 
 def test_matrix_golden_bytes(tmp_path):
-    # pins the v2 framing: magic, sorted header, float64 payload, BLAKE2b-64
+    # pins the v3 framing: magic, sorted header, float64 payload, and the
+    # BLAKE2b-64 of all three
     path = tmp_path / "g.cgmat"
     save_matrix(path, [[1.0, 2.0], [3.0, -0.5]], meta={"kind": "golden"})
     assert path.read_bytes() == (
-        b"CGMAT2\ncols=2\nkind=golden\nrows=2\n\n"
+        b"CGMAT3\ncols=2\nkind=golden\nrows=2\n\n"
         + struct.pack("<4d", 1.0, 2.0, 3.0, -0.5)
-        + bytes.fromhex("bd144e686621ad84"))
+        + bytes.fromhex("8c394e9ca3ad3b5f"))
+
+
+@pytest.mark.parametrize("old, new", [(b"mean_patch_norm=1.5",
+                                       b"mean_patch_norm=7.5"),
+                                      (b"CGMAT3\n", b"CGMAT3\nextra=1\n")])
+def test_matrix_header_edit_detected(tmp_path, old, new):
+    # the digest covers the header: an edited value, even one of the
+    # same length, must not load
+    path = tmp_path / "x.cgmat"
+    save_matrix(path, np.zeros((2, 2)),
+                meta={"kind": "golden", "mean_patch_norm": "1.5"})
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        load_matrix(path)
 
 
 @pytest.mark.parametrize("meta", [{"note": "two\nlines"}, {"k": "v\n"},

@@ -1,25 +1,24 @@
 """Core model math against hand-computed values, explicit-loop energies,
-energy-ratio enumeration, and finite differences."""
+energy-ratio enumeration, and finite differences of the training
+gradient statistics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgdbm.errors import DomainError, ShapeError
+from cgdbm.errors import DomainError, NumericError, ShapeError
 from cgdbm.model import (
     SIGMA2_FLOOR,
-    FullState,
     ModelParams,
     Offsets,
     cond_hidden1,
     cond_hidden2,
     cond_visible,
     energy,
-    energy_gradients,
     sigmoid,
-    unnormalized_log_prob,
 )
+from cgdbm.training import batch_gradient_stats
 from oracles import (
     enum_cond_hidden1,
     enum_cond_hidden2,
@@ -39,35 +38,44 @@ def tiny_111(w=1.0, u=1.0, b_y=0.0, b_z=0.0, sigma2=1.0, c_x=0.0, c_y=0.0, c_z=0
 class TestEnergy:
     def test_all_offset_state_has_zero_energy(self):
         p, c = tiny_111(w=0.7, u=-1.3, b_y=0.4, b_z=-0.2, c_x=2.5)
-        s = FullState(x=[2.5], y=[0.0], z=[0.0])
-        assert energy(s, p, c) == 0.0
+        np.testing.assert_array_equal(energy([[2.5]], [[0.0]], [[0.0]], p, c),
+                                      [0.0])
 
     def test_unit_coupling_state(self):
         # x=1, y=1, z=1 with unit couplings, zero biases/offsets, sigma2=1:
         # 0.5 - 1 - 0 - 0 - 1 = -1.5
         p, c = tiny_111()
-        s = FullState(x=[1.0], y=[1.0], z=[1.0])
-        assert energy(s, p, c) == pytest.approx(-1.5, abs=1e-15)
+        e = energy([[1.0]], [[1.0]], [[1.0]], p, c)
+        assert e.shape == (1,)
+        assert e[0] == pytest.approx(-1.5, abs=1e-15)
 
     def test_matches_explicit_loop_formula(self, rng):
+        # one row per state, four states per model
         for _ in range(25):
             p, c = random_model(rng, L=3, M=4, N=2)
-            s = random_state(rng, 3, 4, 2)
-            want = raw_energy(s.x, s.y, s.z, p.W, p.U, p.b_y, p.b_z,
-                              p.sigma2, c.c_x, c.c_y, c.c_z)
-            assert energy(s, p, c) == pytest.approx(want, rel=1e-12)
-
-    def test_unnormalized_log_prob_is_negated_energy(self, rng):
-        p, c = random_model(rng, 2, 3, 2)
-        s = random_state(rng, 2, 3, 2)
-        assert unnormalized_log_prob(s, p, c) == -energy(s, p, c)
+            x, y, z = (np.array(rows) for rows in zip(
+                *(random_state(rng, 3, 4, 2) for _ in range(4))))
+            got = energy(x, y, z, p, c)
+            assert got.shape == (4,)
+            for r in range(4):
+                want = raw_energy(x[r], y[r], z[r], p.W, p.U, p.b_y, p.b_z,
+                                  p.sigma2, c.c_x, c.c_y, c.c_z)
+                assert got[r] == pytest.approx(want, rel=1e-12)
 
     def test_shape_mismatch_raises(self):
         p, c = tiny_111()
         bad = Offsets(c_x=[0.0, 0.0], c_y=[0.0], c_z=[0.0])
-        s = FullState(x=[1.0], y=[1.0], z=[1.0])
         with pytest.raises(ShapeError):
-            energy(s, p, bad)
+            energy([[1.0]], [[1.0]], [[1.0]], p, bad)
+        # row counts must agree across the three layers
+        with pytest.raises(ShapeError):
+            energy([[1.0], [2.0]], [[1.0]], [[1.0]], p, c)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_energy_raises(self):
+        p, c = tiny_111()
+        with pytest.raises(NumericError):
+            energy([[1.0], [np.inf]], [[1.0], [1.0]], [[1.0], [1.0]], p, c)
 
 
 class TestValidation:
@@ -80,10 +88,6 @@ class TestValidation:
     def test_tiny_sigma2_floored(self):
         p = ModelParams(W=[[1.0]], U=[[1.0]], b_y=[0.0], b_z=[0.0], sigma2=[1e-12])
         assert p.sigma2[0] == SIGMA2_FLOOR
-
-    def test_binary_state_enforced(self):
-        with pytest.raises(DomainError):
-            FullState(x=[0.0], y=[0.5], z=[0.0])
 
     def test_offset_range_enforced(self):
         with pytest.raises(DomainError):
@@ -142,8 +146,7 @@ class TestConditionals:
         z = np.array([1.0])
         means, variances = cond_visible(y, p, c)
         for x0, x1 in [(-1.3, 0.4), (0.9, 2.2)]:
-            e0 = energy(FullState(x=[x0], y=y, z=z), p, c)
-            e1 = energy(FullState(x=[x1], y=y, z=z), p, c)
+            e0, e1 = energy([[x0], [x1]], [y, y], [z, z], p, c)
             want = (-0.5 * (x0 - means[0]) ** 2 / variances[0]
                     + 0.5 * (x1 - means[0]) ** 2 / variances[0])
             assert (e1 - e0) == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -167,24 +170,26 @@ class TestConditionals:
 
 
 class TestGradients:
+    """The training gradient statistics at one state (a batch of one row)."""
+
     def test_zero_at_all_offset_state(self):
         p, c = tiny_111(w=0.6, u=-0.9, b_y=0.3, b_z=0.1, c_x=1.2)
-        g = energy_gradients(FullState(x=[1.2], y=[0.0], z=[0.0]), p, c)
+        g = batch_gradient_stats([[1.2]], [[0.0]], [[0.0]], p, c)
         for block in (g.dW, g.dU, g.db_y, g.db_z, g.dsigma):
             np.testing.assert_array_equal(block, np.zeros_like(block))
 
     def test_dsigma_cancellation_case(self):
         # x=2, y=1, w=1, sigma=1, zero offsets: 4/1 - 2*2*1/1 = 0.
         p, c = tiny_111()
-        g = energy_gradients(FullState(x=[2.0], y=[1.0], z=[0.0]), p, c)
+        g = batch_gradient_stats([[2.0]], [[1.0]], [[0.0]], p, c)
         assert g.dsigma[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_differences(self, rng):
         for _ in range(10):
             p, c = random_model(rng, L=3, M=4, N=2)
-            s = random_state(rng, 3, 4, 2)
-            g = energy_gradients(s, p, c)
-            dW, dU, db_y, db_z, dsigma = fd_gradients(s, p, c, h=1e-5)
+            x, y, z = (v[None, :] for v in random_state(rng, 3, 4, 2))
+            g = batch_gradient_stats(x, y, z, p, c)
+            dW, dU, db_y, db_z, dsigma = fd_gradients(x, y, z, p, c, h=1e-5)
             np.testing.assert_allclose(g.dW, dW, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(g.dU, dU, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(g.db_y, db_y, rtol=1e-6, atol=1e-8)

@@ -8,10 +8,8 @@ from cgdbm.errors import ConfigError, ShapeError
 from cgdbm.exact import all_binary_states, brute_force_hidden_marginal
 from cgdbm.model import ModelParams, Offsets
 from cgdbm.sampling import (
-    FrameSet,
     SessionConfig,
     average_initial_probability,
-    clamped_response,
     random_control_frames,
     run_spontaneous_session,
 )
@@ -30,18 +28,16 @@ class TestSpontaneousSession:
     def test_frame_count_and_range(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         cfg = SessionConfig(n_chains=7, n_iterations=60, record_every=10, seed=4)
-        fs = run_spontaneous_session(p, c, np.full(3, 0.5), cfg)
-        assert fs.frames.shape == (6 * 7, 3)
-        assert fs.kind == "spontaneous"
-        assert fs.frames.min() >= 0.0 and fs.frames.max() <= 1.0
-        assert fs.meta["n_chains"] == "7"
+        frames = run_spontaneous_session(p, c, np.full(3, 0.5), cfg)
+        assert frames.shape == (6 * 7, 3)
+        assert frames.min() >= 0.0 and frames.max() <= 1.0
 
     def test_bit_identical_reruns(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         cfg = SessionConfig(n_chains=5, n_iterations=40, record_every=5, seed=21)
         a = run_spontaneous_session(p, c, np.full(3, 0.3), cfg)
         b = run_spontaneous_session(p, c, np.full(3, 0.3), cfg)
-        np.testing.assert_array_equal(a.frames, b.frames)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_frames(self, rng):
         p, c = random_model(rng, 2, 3, 2)
@@ -50,7 +46,7 @@ class TestSpontaneousSession:
                                     SessionConfig(seed=1, **base))
         b = run_spontaneous_session(p, c, np.full(3, 0.3),
                                     SessionConfig(seed=2, **base))
-        assert np.abs(a.frames - b.frames).max() > 0
+        assert np.abs(a - b).max() > 0
 
     def test_recorded_probabilities_average_to_marginal(self, rng):
         # E[P(y_j=1 | x, z)] under the joint equals the marginal P(y_j=1),
@@ -60,8 +56,7 @@ class TestSpontaneousSession:
         ys = all_binary_states(3)
         marginal = (table.sum(axis=1)[:, None] * ys).sum(axis=0)
         cfg = SessionConfig(n_chains=60, n_iterations=600, record_every=3, seed=9)
-        fs = run_spontaneous_session(p, c, np.full(3, 0.5), cfg)
-        got = fs.frames.mean(axis=0)
+        got = run_spontaneous_session(p, c, np.full(3, 0.5), cfg).mean(axis=0)
         np.testing.assert_allclose(got, marginal, atol=0.02)
 
     def test_bad_p_init_rejected(self, rng):
@@ -76,11 +71,11 @@ class TestSpontaneousSession:
 class TestControls:
     def test_rates_and_binarity(self, rng):
         p_init = np.array([0.1, 0.5, 0.9])
-        fs = random_control_frames(p_init, 20000, rng)
-        assert fs.kind == "random_control"
-        assert set(np.unique(fs.frames)) <= {0.0, 1.0}
+        frames = random_control_frames(p_init, 20000, rng)
+        assert frames.shape == (20000, 3)
+        assert set(np.unique(frames)) <= {0.0, 1.0}
         se = np.sqrt(p_init * (1 - p_init) / 20000)
-        assert np.all(np.abs(fs.frames.mean(axis=0) - p_init) < 5 * se)
+        assert np.all(np.abs(frames.mean(axis=0) - p_init) < 5 * se)
 
     def test_count_validated(self, rng):
         with pytest.raises(ConfigError):
@@ -103,19 +98,3 @@ class TestInitialProbability:
         got = average_initial_probability(p, c, data, cfg)
         want = mean_field_data(data, p, c, cfg).y.mean(axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-class TestClampedResponse:
-    def test_matches_batch_of_one(self, rng):
-        p, c = random_model(rng, 3, 4, 2)
-        stim = rng.standard_normal(3)
-        cfg = TrainConfig()
-        got = clamped_response(p, c, stim, cfg)
-        want = mean_field_data(stim[None, :], p, c, cfg).y[0]
-        np.testing.assert_array_equal(got, want)
-
-
-class TestFrameSet:
-    def test_kind_validated(self):
-        with pytest.raises(ConfigError):
-            FrameSet(frames=np.zeros((2, 3)), kind="bogus")

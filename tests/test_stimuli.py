@@ -5,14 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from cgdbm.config import DataConfig
 from cgdbm.errors import ConfigError, DomainError
 from cgdbm.io import save_matrix, write_pgm
-from cgdbm.stimuli import (PatchConfig, Whitener, default_frequencies,
-                           default_orientations, default_phases, dewhiten,
+from cgdbm.stimuli import (Whitener, default_frequencies, dewhiten,
                            extract_patches, fit_whitener, generate_gratings,
                            group_by_orientation, load_grayscale_images,
-                           mean_centered_norm, target_amplitude, whiten)
+                           whiten)
 from cgdbm.synth import dead_leaves_image, make_corpus
+
+# the grating grid the analyze stage uses at its default counts
+ORIENTATIONS = np.arange(8) * 22.5
+PHASES = np.arange(4) * (np.pi / 2)
+
+
+def grating_grid(side, amplitude=1.0):
+    return generate_gratings(side, ORIENTATIONS, default_frequencies(side),
+                             PHASES, amplitude=amplitude)
 
 
 # --- patches ----------------------------------------------------------------
@@ -37,8 +46,7 @@ def test_load_images_empty_dir_raises(tmp_path):
 def test_extract_patches_shapes_and_content(rng):
     # single constant-gradient image: every patch is a shifted copy
     img = np.arange(100, dtype=float).reshape(10, 10)
-    cfg = PatchConfig(patch_side=3, n_patches=50, train_fraction=0.8, pca_k=9)
-    train, test = extract_patches([img], cfg, rng)
+    train, test = extract_patches([img], 3, 50, 0.8, rng)
     assert train.shape == (40, 9)
     assert test.shape == (10, 9)
     # each row must be an actual 3x3 window of img
@@ -52,21 +60,22 @@ def test_extract_patches_shapes_and_content(rng):
 def test_extract_patches_skips_small_images(rng):
     small = np.zeros((2, 2))
     big = np.ones((8, 8))
-    cfg = PatchConfig(patch_side=4, n_patches=10, train_fraction=0.5,
-                      pca_k=16)
-    train, test = extract_patches([small, big], cfg, rng)
+    train, test = extract_patches([small, big], 4, 10, 0.5, rng)
     assert np.all(train == 1.0) and np.all(test == 1.0)
     with pytest.raises(DomainError):
-        extract_patches([small], cfg, rng)
+        extract_patches([small], 4, 10, 0.5, rng)
 
 
 def test_patch_config_validation():
-    with pytest.raises(ConfigError):
-        PatchConfig(patch_side=1).validate()
-    with pytest.raises(ConfigError):
-        PatchConfig(train_fraction=1.0).validate()
-    with pytest.raises(ConfigError):
-        PatchConfig(patch_side=3, pca_k=10).validate()
+    with pytest.raises(ConfigError, match="patch_side must be at least 2"):
+        DataConfig(patch_side=1).validate()
+    with pytest.raises(ConfigError, match="n_patches must be at least 2"):
+        DataConfig(n_patches=1).validate()
+    with pytest.raises(ConfigError, match=r"train_fraction must lie in \(0, 1\)"):
+        DataConfig(train_fraction=1.0).validate()
+    with pytest.raises(ConfigError, match=r"pca_k must lie in \[1, patch_side\^2\]"):
+        DataConfig(patch_side=3, pca_k=10).validate()
+    assert DataConfig().validate() == DataConfig()
 
 
 # --- whitening --------------------------------------------------------------
@@ -137,7 +146,7 @@ def test_fit_whitener_input_validation(rng):
 # --- gratings ---------------------------------------------------------------
 
 def test_grating_grid_size_and_order():
-    g, specs = generate_gratings(12)
+    g, specs = grating_grid(12)
     assert g.shape == (8 * 6 * 4, 144)
     assert len(specs) == 192
     # orientation-major ordering
@@ -171,38 +180,21 @@ def test_grating_90_degrees_columns_constant():
 
 
 def test_grating_amplitude_linearity():
-    g1, _ = generate_gratings(10, amplitude=1.0)
-    g2, _ = generate_gratings(10, amplitude=2.0)
+    g1, _ = grating_grid(10, amplitude=1.0)
+    g2, _ = grating_grid(10, amplitude=2.0)
     np.testing.assert_allclose(g2, 2.0 * g1, atol=1e-12)
 
 
 def test_default_grids():
-    assert list(default_orientations()) == [0.0, 22.5, 45.0, 67.5, 90.0,
-                                            112.5, 135.0, 157.5]
+    # the analyze stage's frequency grid at its default count
     f = default_frequencies(12)
     assert f[0] == pytest.approx(1.0)
     assert f[-1] == pytest.approx(3.0)
     assert len(f) == 6
-    assert len(default_phases()) == 4
-
-
-def test_target_amplitude_matches_norms(rng):
-    patches = rng.normal(size=(200, 64)) * 3.0 + 5.0
-    unit, _ = generate_gratings(8, amplitude=1.0)
-    a = target_amplitude(patches, unit)
-    scaled, _ = generate_gratings(8, amplitude=a)
-    got = float(np.mean(np.linalg.norm(scaled, axis=1)))
-    want = mean_centered_norm(patches)
-    assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_target_amplitude_zero_patches():
-    unit, _ = generate_gratings(8, amplitude=1.0)
-    assert target_amplitude(np.zeros((10, 64)), unit) == 0.0
 
 
 def test_group_by_orientation():
-    g, specs = generate_gratings(8)
+    g, specs = grating_grid(8)
     orientations, groups = group_by_orientation(g, specs)
     assert len(orientations) == 8
     assert all(grp.shape == (24, 64) for grp in groups)
@@ -234,8 +226,6 @@ def test_corpus_has_oriented_structure(rng):
     # whitening a dead-leaves patch set must succeed at moderate k and
     # concentrate variance in the leading components
     imgs = make_corpus(6, 48, seed=11)
-    cfg = PatchConfig(patch_side=8, n_patches=2000, train_fraction=0.9,
-                      pca_k=30)
-    train, _ = extract_patches(imgs, cfg, rng)
+    train, _ = extract_patches(imgs, 8, 2000, 0.9, rng)
     w = fit_whitener(train, 30)
     assert w.eigvals[0] > 10 * w.eigvals[29]
