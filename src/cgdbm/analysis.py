@@ -3,7 +3,9 @@
 Everything here consumes first-hidden-layer probability vectors: clamped
 responses to grating groups become orientation maps, free-running frames
 are correlated against those maps with a t-test significance threshold,
-and a small circular self-organizing map clusters the frames.
+and a small circular self-organizing map clusters the frames.  analyze()
+runs the whole analysis of one run and returns its results without
+writing anything.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
+from .io import format_float
 from .model import ModelParams, Offsets
-from .stimuli import Whitener, whiten
+from .sampling import random_control_frames
+from .stimuli import Whitener, default_frequencies, generate_gratings, whiten
 from .training import TrainConfig, mean_field_data
 
 
@@ -70,22 +74,6 @@ def orientation_maps(params: ModelParams, offsets: Offsets, grating_groups,
 
 
 # --- correlation statistics -------------------------------------------------
-
-def pearson(a, b) -> float:
-    """Pearson product-moment correlation of two equal-length vectors."""
-    x = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(b, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ShapeError("vectors must have equal length")
-    if x.size < 3:
-        raise DomainError("need at least 3 samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc @ xc) * (yc @ yc))
-    if denom == 0.0:
-        raise DomainError("correlation undefined for constant input")
-    return float(np.clip((xc @ yc) / denom, -1.0, 1.0))
-
 
 def significance_threshold(n: int, alpha: float) -> float:
     """Critical |r| for a two-tailed zero-correlation t-test with n
@@ -194,6 +182,46 @@ class SomConfig:
         if self.radius_start <= 0 or self.radius_end <= 0:
             raise ConfigError("radii must be positive")
         return self
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    alpha: float = 0.01
+    threshold_n: int = 200
+    n_control: int = 0  # 0 means: match the spontaneous frame count
+    som_nodes: int = 40
+    som_epochs: int = 20
+    som_lr_start: float = 0.5
+    som_lr_end: float = 0.01
+    som_radius_start: float = 10.0
+    som_radius_end: float = 1.0
+    orientation_count: int = 8
+    grating_frequency_count: int = 6
+    grating_phase_count: int = 4
+
+    def validate(self) -> "AnalysisConfig":
+        if not (0.0 < self.alpha < 1.0):
+            raise ConfigError("alpha must lie in (0, 1)")
+        if self.threshold_n < 4:
+            raise ConfigError("threshold_n must be at least 4")
+        if self.n_control < 0:
+            raise ConfigError("n_control must be non-negative")
+        if self.orientation_count < 2 or self.orientation_count % 2 != 0:
+            raise ConfigError("orientation_count must be even and >= 2")
+        if self.grating_frequency_count < 1 or self.grating_phase_count < 1:
+            raise ConfigError("grating grid counts must be positive")
+        self.som_config(seed=0)  # reuse SomConfig validation
+        return self
+
+    def som_config(self, seed: int) -> SomConfig:
+        return SomConfig(n_nodes=self.som_nodes, n_epochs=self.som_epochs,
+                         lr_start=self.som_lr_start, lr_end=self.som_lr_end,
+                         radius_start=self.som_radius_start,
+                         radius_end=self.som_radius_end,
+                         seed=seed).validate()
+
+    def orientations(self) -> np.ndarray:
+        return np.arange(self.orientation_count) * (180.0 / self.orientation_count)
 
 
 @dataclass(frozen=True)
@@ -347,3 +375,93 @@ def orientation_selectivity(map_set: OrientationMapSet) -> np.ndarray:
     nz = denom > 0
     out[nz] = (r_max[nz] - r_orth[nz]) / denom[nz]
     return out
+
+
+# --- the analysis of one run ------------------------------------------------
+
+@dataclass(frozen=True)
+class AnalysisResult:
+    """What analyze() finds in one run; summary holds the lines of the
+    run's summary.txt."""
+
+    maps: OrientationMapSet
+    spontaneous: CorrelationReport
+    control: CorrelationReport
+    som_best: np.ndarray         # (n_nodes,) best-correlated map per node
+    som_best_r: np.ndarray       # (n_nodes,) r at that map
+    osi: np.ndarray              # (M,) orientation selectivity per unit
+    filters: np.ndarray          # (M, side, side) first-layer filters
+    rf_second_layer: np.ndarray  # (N, side, side) second-layer fields
+    top_active: np.ndarray       # the most active hidden-1 units, descending
+    summary: list[str]           # "key = value" lines
+
+
+def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
+            patch_side: int, mean_patch_norm: float, frames, p_init,
+            cfg: AnalysisConfig, mf_cfg: TrainConfig, som_seed: int,
+            control_seed: int) -> AnalysisResult:
+    """Orientation maps from gratings, correlations of the spontaneous
+    frames and of matched Bernoulli control frames against them, a SOM
+    of the frames, per-unit selectivity, and the figure tiles.
+
+    The gratings are scaled so their mean row norm equals
+    mean_patch_norm, the mean centered norm of the training patches.
+    p_init is the initial probability vector of the session that
+    recorded the frames; control_seed seeds the control frames and
+    som_seed the SOM.
+    """
+    _, M, N = params.dims
+    orientations = cfg.orientations()
+    freqs = default_frequencies(patch_side, cfg.grating_frequency_count)
+    phases = np.arange(cfg.grating_phase_count) * (
+        2.0 * np.pi / cfg.grating_phase_count)
+    unit = generate_gratings(patch_side, orientations, freqs, phases)
+    amplitude = mean_patch_norm / float(np.mean(np.linalg.norm(unit, axis=-1)))
+    map_set = orientation_maps(params, offsets, amplitude * unit,
+                               orientations, whitener=whitener, mf_cfg=mf_cfg)
+
+    threshold = significance_threshold(cfg.threshold_n, cfg.alpha)
+    threshold_at_m = significance_threshold(M, cfg.alpha) if M >= 4 \
+        else float("nan")
+    rep = correlate(frames, map_set, threshold)
+    n_control = cfg.n_control if cfg.n_control > 0 else frames.shape[0]
+    control = random_control_frames(p_init, n_control,
+                                    np.random.default_rng(control_seed))
+    ctrl_rep = correlate(control, map_set, threshold)
+
+    som = train_som(frames, cfg.som_config(som_seed))
+    som_best, som_best_r, _ = correlate_som(som, map_set)
+    osi = orientation_selectivity(map_set)
+
+    filters = first_layer_filters(params, whitener)
+    rf = np.array([second_layer_rf(params, whitener, k)[0] for k in range(N)])
+    ratio = (rep.significant_fraction / ctrl_rep.significant_fraction
+             if ctrl_rep.significant_fraction > 0 else float("inf"))
+    max_r = (float(np.nanmax(rep.max_r_per_orientation))
+             if np.any(rep.significant) else float("nan"))
+    summary = [
+        f"frames = {frames.shape[0]}",
+        f"frame_width = {M}",
+        f"alpha = {format_float(cfg.alpha)}",
+        f"threshold_n = {cfg.threshold_n}",
+        f"threshold = {format_float(threshold)}",
+        f"threshold_at_M = {format_float(threshold_at_m)}",
+        f"significant_fraction = {format_float(rep.significant_fraction)}",
+        f"control_frames = {n_control}",
+        "control_significant_fraction = "
+        + format_float(ctrl_rep.significant_fraction),
+        f"significant_ratio = {format_float(ratio)}",
+        f"max_significant_correlation = {format_float(max_r)}",
+        f"osi_fraction_ge_0.3 = {format_float(float(np.mean(osi >= 0.3)))}",
+        f"som_nodes = {som.n_nodes}",
+        f"som_max_r = {format_float(float(np.max(som_best_r)))}",
+        "som_nodes_above_threshold = "
+        + str(int(np.sum(np.abs(som_best_r) >= threshold))),
+    ]
+    return AnalysisResult(
+        maps=map_set, spontaneous=rep, control=ctrl_rep, som_best=som_best,
+        som_best_r=som_best_r, osi=osi,
+        filters=filters.reshape(M, patch_side, patch_side),
+        rf_second_layer=rf.reshape(N, patch_side, patch_side),
+        top_active=top_active_filters(frames.mean(axis=0), k=min(25, M)),
+        summary=summary)

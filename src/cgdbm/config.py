@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import SomConfig
+from .analysis import AnalysisConfig
 from .errors import ConfigError
 from .sampling import SessionConfig
 from .training import TrainConfig
@@ -32,12 +32,15 @@ from .training import TrainConfig
 STAGE_IDS = {"prepare": 1, "train": 2, "sample": 3, "analyze": 4}
 
 
-def stage_seed(seed: int, stage: str) -> int:
-    """Derive one stage's RNG seed from the global seed."""
+def stage_seed(seed: int, stage: str, stream: int | None = None) -> int:
+    """Derive one stage's RNG seed from the global seed; a stage that
+    needs a further independent stream names it by a sub-index."""
     if stage not in STAGE_IDS:
         raise ConfigError(f"unknown stage {stage!r}")
-    ss = np.random.SeedSequence([int(seed), STAGE_IDS[stage]])
-    return int(ss.generate_state(1)[0])
+    key = [int(seed), STAGE_IDS[stage]]
+    if stream is not None:
+        key.append(stream)
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -74,46 +77,6 @@ class ModelConfig:
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.L, self.M, self.N)
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    alpha: float = 0.01
-    threshold_n: int = 200
-    n_control: int = 0  # 0 means: match the spontaneous frame count
-    som_nodes: int = 40
-    som_epochs: int = 20
-    som_lr_start: float = 0.5
-    som_lr_end: float = 0.01
-    som_radius_start: float = 10.0
-    som_radius_end: float = 1.0
-    orientation_count: int = 8
-    grating_frequency_count: int = 6
-    grating_phase_count: int = 4
-
-    def validate(self) -> "AnalysisConfig":
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError("alpha must lie in (0, 1)")
-        if self.threshold_n < 4:
-            raise ConfigError("threshold_n must be at least 4")
-        if self.n_control < 0:
-            raise ConfigError("n_control must be non-negative")
-        if self.orientation_count < 2 or self.orientation_count % 2 != 0:
-            raise ConfigError("orientation_count must be even and >= 2")
-        if self.grating_frequency_count < 1 or self.grating_phase_count < 1:
-            raise ConfigError("grating grid counts must be positive")
-        self.som_config(seed=0)  # reuse SomConfig validation
-        return self
-
-    def som_config(self, seed: int) -> SomConfig:
-        return SomConfig(n_nodes=self.som_nodes, n_epochs=self.som_epochs,
-                         lr_start=self.som_lr_start, lr_end=self.som_lr_end,
-                         radius_start=self.som_radius_start,
-                         radius_end=self.som_radius_end,
-                         seed=seed).validate()
-
-    def orientations(self) -> np.ndarray:
-        return np.arange(self.orientation_count) * (180.0 / self.orientation_count)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The pipeline trains on whitened patch vectors: random square patches are
 cut from grayscale images, reduced to the top principal components, and
-variance-normalized there.  Gratings are generated in pixel space at an
-amplitude matched to the natural patches and pushed through the same
-whitening transform before they reach the model.
+variance-normalized there.  Gratings are generated in pixel space at
+unit amplitude; the analysis scales them to the natural patches and
+pushes them through the same whitening transform before they reach the
+model.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError
-from .io import load_matrix, read_pgm, save_matrix
+from .io import format_float, load_matrix, read_pgm, save_matrix
 
 
 def load_grayscale_images(directory) -> list[np.ndarray]:
@@ -121,14 +122,6 @@ def dewhiten(w: Whitener, rows) -> np.ndarray:
 
 # --- gratings ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GratingSpec:
-    orientation_deg: float
-    frequency: float     # cycles per patch side
-    phase: float         # radians
-    amplitude: float
-
-
 def default_frequencies(patch_side: int, count: int = 6) -> np.ndarray:
     """Log-spaced spatial frequencies from one cycle per patch up to a
     quarter of the patch side."""
@@ -137,30 +130,28 @@ def default_frequencies(patch_side: int, count: int = 6) -> np.ndarray:
     return np.geomspace(1.0, patch_side / 4.0, count)
 
 
-def generate_gratings(patch_side: int, orientations_deg, frequencies, phases,
-                      amplitude: float = 1.0,
-                      ) -> tuple[np.ndarray, list[GratingSpec]]:
-    """Full-field cosine gratings as flattened patches.
+def generate_gratings(patch_side: int, orientations_deg, frequencies,
+                      phases) -> np.ndarray:
+    """Unit-amplitude full-field cosine gratings as flattened patches,
+    grouped by orientation: an (orientations, frequencies * phases,
+    patch_side**2) array.
 
-    patch(r, c) = amplitude * cos(2 pi f (c cos t + r sin t) / side + phase)
-    with t the orientation in radians.  Rows are ordered orientation-major,
-    then frequency, then phase.
+    patch(r, c) = cos(2 pi f (c cos t + r sin t) / side + phase) with t
+    the orientation in radians.  Within a group rows are ordered by
+    frequency, then phase.
     """
     rr, cc = np.meshgrid(np.arange(patch_side), np.arange(patch_side),
                          indexing="ij")
     patches = []
-    specs = []
     for theta in orientations_deg:
         t = math.radians(theta)
         proj = cc * math.cos(t) + rr * math.sin(t)
         for f in frequencies:
             for phi in phases:
-                g = amplitude * np.cos(2.0 * np.pi * f * proj / patch_side + phi)
+                g = np.cos(2.0 * np.pi * f * proj / patch_side + phi)
                 patches.append(g.ravel())
-                specs.append(GratingSpec(orientation_deg=float(theta),
-                                         frequency=float(f), phase=float(phi),
-                                         amplitude=float(amplitude)))
-    return np.array(patches), specs
+    return np.array(patches).reshape(len(orientations_deg), -1,
+                                     patch_side * patch_side)
 
 
 def mean_centered_norm(patches) -> float:
@@ -170,16 +161,21 @@ def mean_centered_norm(patches) -> float:
     return float(np.mean(np.linalg.norm(xc, axis=1)))
 
 
-def save_whitener(path, w: Whitener, extra_meta: dict | None = None) -> None:
-    """Persist a whitener as one flat row: mean, eigvals, basis."""
+def save_whitener(path, w: Whitener, patch_side: int,
+                  mean_patch_norm: float) -> None:
+    """Persist a whitener as one flat row (mean, eigvals, basis), with
+    the patch side it was fitted on and the mean centered patch norm."""
     flat = np.concatenate([w.mean, w.eigvals, w.basis.ravel()])
-    d = w.mean.shape[0]
-    meta = {str(k): str(v) for k, v in (extra_meta or {}).items()}
-    meta.update(format="whitener", d=str(d), k=str(w.k))
+    meta = {"patch_side": str(patch_side),
+            "mean_patch_norm": format_float(mean_patch_norm),
+            "format": "whitener", "d": str(w.mean.shape[0]), "k": str(w.k)}
     save_matrix(path, flat[None, :], meta=meta)
 
 
 def load_whitener(path) -> tuple[Whitener, dict]:
+    """The whitener and its header.  The header's patch_side squares to
+    the patch dimension d and its mean_patch_norm is finite and
+    positive, so both can be read with int() and float()."""
     flat, meta = load_matrix(path)
     if meta.get("format") != "whitener":
         raise FormatError(f"{path}: not a whitener container")
@@ -190,18 +186,19 @@ def load_whitener(path) -> tuple[Whitener, dict]:
     if flat.shape != (1, d + k + d * k):
         raise FormatError(f"{path}: whitener payload does not match d={d} "
                           f"k={k}")
+    try:
+        patch_side = int(meta["patch_side"])
+        mean_patch_norm = float(meta["mean_patch_norm"])
+    except (KeyError, ValueError):
+        raise FormatError(f"{path}: missing patch_side or "
+                          f"mean_patch_norm") from None
+    if patch_side * patch_side != d:
+        raise FormatError(f"{path}: patch_side={patch_side} does not square "
+                          f"to d={d}")
+    if not (math.isfinite(mean_patch_norm) and mean_patch_norm > 0.0):
+        raise FormatError(f"{path}: mean_patch_norm={mean_patch_norm} is not "
+                          f"finite and positive")
     row = flat[0]
     w = Whitener(mean=row[:d], eigvals=row[d:d + k],
                  basis=row[d + k:].reshape(d, k))
     return w, meta
-
-
-def group_by_orientation(gratings: np.ndarray, specs: list[GratingSpec],
-                         ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Distinct orientations (sorted) and the grating rows of each."""
-    orientations = sorted({s.orientation_deg for s in specs})
-    groups = []
-    for theta in orientations:
-        rows = [i for i, s in enumerate(specs) if s.orientation_deg == theta]
-        groups.append(gratings[rows])
-    return np.array(orientations), groups

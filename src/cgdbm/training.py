@@ -135,9 +135,12 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch of the training log; train_log.csv has these fields as
+    its columns, in this order."""
+
     epoch: int
-    recon_error: float
-    lr: float
+    reconstruction_error: float
+    learning_rate: float
     momentum: float
     grad_norm_W: float
     grad_norm_U: float
@@ -423,7 +426,8 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
                 params=last_good[0], offsets=last_good[1], log=log) from exc
 
         last_good = (p, c)
-        rec = EpochRecord(epoch=epoch, recon_error=err, lr=lr, momentum=momentum,
+        rec = EpochRecord(epoch=epoch, reconstruction_error=err,
+                          learning_rate=lr, momentum=momentum,
                           grad_norm_W=float(np.mean(gw_norms)) if gw_norms else 0.0,
                           grad_norm_U=float(np.mean(gu_norms)) if gu_norms else 0.0,
                           mean_sigma=float(np.mean(np.sqrt(p.sigma2))))

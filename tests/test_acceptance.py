@@ -42,6 +42,7 @@ from oracles import (
     random_model,
     total_variation,
 )
+from tiny import TINY_CFG
 
 REPO = Path(__file__).resolve().parents[1]
 DESK_SEEDS = (0, 1, 2)
@@ -280,40 +281,6 @@ def test_a09b_som_node_matches_orientation_map(desk_runs):
     best = max(counts.values())
     assert best >= 1, f"no node above threshold on any seed: {counts}"
     ok("a09b", f"nodes above threshold per seed {counts} (need >=1 on some seed)")
-
-
-TINY_CFG = """
-seed = 11
-
-[data]
-image_dir = {corpus}
-patch_side = 6
-n_patches = 800
-train_fraction = 0.9
-pca_k = 20
-
-[model]
-L = 20
-M = 12
-N = 4
-
-[training]
-epochs_max = 2
-batch_size = 60
-patience = 5
-
-[sampling]
-n_chains = 5
-n_iterations = 40
-record_every = 10
-
-[analysis]
-alpha = 0.05
-threshold_n = 12
-som_nodes = 8
-som_epochs = 3
-som_radius_start = 2.0
-"""
 
 
 def test_a10_bit_identical_reruns(tmp_path):

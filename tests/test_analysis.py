@@ -11,12 +11,12 @@ from cgdbm.analysis import (CorrelationReport, OrientationMapSet, SomConfig,
                             circular_distance, correlate, correlate_som,
                             dewhiten_direction, first_layer_filters,
                             orientation_maps, orientation_selectivity,
-                            pearson, quantization_error, second_layer_rf,
+                            quantization_error, second_layer_rf,
                             significance_threshold, top_active_filters,
                             train_som)
 from cgdbm.errors import DomainError, ShapeError
 from cgdbm.model import ModelParams, Offsets
-from cgdbm.stimuli import fit_whitener, generate_gratings, group_by_orientation
+from cgdbm.stimuli import fit_whitener, generate_gratings
 from cgdbm.training import TrainConfig
 
 from oracles import random_model, som_reference
@@ -27,39 +27,38 @@ def make_maps(rng, k=8, width=200):
     return OrientationMapSet(orientations=np.arange(k) * 22.5, maps=maps)
 
 
-# --- pearson ----------------------------------------------------------------
+def pearson_r(frame, map_row) -> float:
+    """correlate()'s r between one frame and a one-map set."""
+    ms = OrientationMapSet(orientations=np.array([0.0]),
+                           maps=np.atleast_2d(map_row))
+    return float(correlate(frame, ms, 1.0).r[0, 0])
+
+
+# --- Pearson r ----------------------------------------------------------------
 
 def test_pearson_frozen_value():
-    assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(
-        9.0 / math.sqrt(84.0), abs=1e-12)
-    assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(0.981981, abs=1e-6)
+    # r is invariant to scaling the map into [0, 1]: [1, 2, 4] / 4
+    r = pearson_r([1, 2, 3], [0.25, 0.5, 1.0])
+    assert r == pytest.approx(9.0 / math.sqrt(84.0), abs=1e-12)
+    assert r == pytest.approx(0.981981, abs=1e-6)
 
 
 def test_pearson_perfect_and_inverse():
     a = np.array([0.1, 0.5, 0.2, 0.9])
-    assert pearson(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert pearson(a, -a + 3.0) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_pearson_errors():
-    with pytest.raises(DomainError):
-        pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        pearson([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ShapeError):
-        pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+    assert pearson_r(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert pearson_r(-a + 3.0, a) == pytest.approx(-1.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(0.1, 50.0), st.floats(-10, 10))
 def test_pearson_affine_invariance(seed, alpha, beta):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=10)
-    b = rng.normal(size=10)
-    r = pearson(a, b)
-    assert pearson(alpha * a + beta, b) == pytest.approx(r, abs=1e-12)
-    assert pearson(-alpha * a + beta, b) == pytest.approx(-r, abs=1e-12)
-    assert pearson(b, a) == pytest.approx(r, abs=1e-12)
+    a = rng.uniform(size=10)
+    b = rng.uniform(size=10)
+    r = pearson_r(a, b)
+    assert pearson_r(alpha * a + beta, b) == pytest.approx(r, abs=1e-12)
+    assert pearson_r(-alpha * a + beta, b) == pytest.approx(-r, abs=1e-12)
+    assert pearson_r(b, a) == pytest.approx(r, abs=1e-12)
 
 
 # --- significance threshold ---------------------------------------------------
@@ -84,10 +83,10 @@ def test_threshold_is_exact_test_calibration(rng):
     n, alpha, trials = 30, 0.05, 4000
     thr = significance_threshold(n, alpha)
     a = rng.normal(size=(trials, n))
-    b = rng.normal(size=(trials, n))
+    b = rng.uniform(size=(trials, n))  # maps live in [0, 1]
     hits = 0
     for i in range(trials):
-        hits += abs(pearson(a[i], b[i])) >= thr
+        hits += abs(pearson_r(a[i], b[i])) >= thr
     rate = hits / trials
     sigma = math.sqrt(alpha * (1 - alpha) / trials)
     assert abs(rate - alpha) < 4 * sigma
@@ -193,9 +192,9 @@ def test_orientation_maps_permutation_invariant(rng):
 def test_orientation_maps_tuned_unit_peaks_at_matching_angle(rng):
     # construct a model whose single hidden unit's filter IS a grating
     side = 8
-    g, specs = generate_gratings(side, np.arange(8) * 22.5, [2.0], [0.0])
-    orientations, groups = group_by_orientation(g, specs)
-    target = g[2]  # orientation index 2 (45 degrees), sole phase/freq
+    orientations = np.arange(8) * 22.5
+    groups = generate_gratings(side, orientations, [2.0], [0.0])
+    target = groups[2, 0]  # orientation index 2 (45 degrees)
     x = rng.normal(size=(500, side * side))
     w = fit_whitener(x, side * side)
     filt = (np.asarray(w.basis) / np.sqrt(w.eigvals)).T @ target  # whiten direction
@@ -204,8 +203,7 @@ def test_orientation_maps_tuned_unit_peaks_at_matching_angle(rng):
                     b_z=np.zeros(1), sigma2=np.ones(side * side))
     c = Offsets(c_x=np.zeros(side * side), c_y=np.full(1, 0.5),
                 c_z=np.full(1, 0.5))
-    groups_by_theta = [grp for grp in groups]
-    ms = orientation_maps(p, c, groups_by_theta, orientations, whitener=w)
+    ms = orientation_maps(p, c, groups, orientations, whitener=w)
     assert np.argmax(ms.maps[:, 0]) == 2
 
 

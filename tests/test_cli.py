@@ -7,43 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from cgdbm.analysis import analyze
 from cgdbm.cli import main
-from cgdbm.config import stage_seed
+from cgdbm.config import load_config, stage_seed
 from cgdbm.io import load_matrix, load_model, save_matrix, write_pgm
+from cgdbm.stimuli import load_whitener
 from cgdbm.synth import make_corpus
-
-TINY_CFG = """
-seed = 11
-
-[data]
-image_dir = {corpus}
-patch_side = 6
-n_patches = 800
-train_fraction = 0.9
-pca_k = 20
-
-[model]
-L = 20
-M = 12
-N = 4
-
-[training]
-epochs_max = 2
-batch_size = 60
-patience = 5
-
-[sampling]
-n_chains = 5
-n_iterations = 40
-record_every = 10
-
-[analysis]
-alpha = 0.05
-threshold_n = 12
-som_nodes = 8
-som_epochs = 3
-som_radius_start = 2.0
-"""
+from tiny import TINY_CFG
 
 
 @pytest.fixture(scope="module")
@@ -170,18 +140,6 @@ def test_epochs_zero_saves_initial_model(run_dir, tmp_path):
     np.testing.assert_allclose(offsets.c_x, train.mean(axis=0), atol=1e-12)
 
 
-def test_sample_flag_overrides(run_dir, tmp_path):
-    root, cfg, out = run_dir
-    out2 = tmp_path / "flags"
-    base = ["--config", str(cfg), "--out-dir", str(out2)]
-    assert main(["prepare", *base]) == 0
-    assert main(["train", *base, "--epochs", "1"]) == 0
-    assert main(["sample", *base, "--chains", "10", "--iters", "100",
-                 "--every", "10"]) == 0
-    frames, _ = load_matrix(out2 / "frames.cgmat")
-    assert frames.shape == (100, 12)
-
-
 def test_exit_codes(run_dir, tmp_path):
     root, cfg, out = run_dir
     empty = tmp_path / "empty"
@@ -195,7 +153,11 @@ def test_exit_codes(run_dir, tmp_path):
     # sample config violation: iterations not divisible by record stride
     assert main(["prepare", *base]) == 0
     assert main(["train", *base, "--epochs", "1"]) == 0
-    assert main(["sample", *base, "--iters", "95"]) == 2
+    bad_cfg = tmp_path / "iters95.cfg"
+    bad_cfg.write_text(cfg.read_text().replace("n_iterations = 40",
+                                               "n_iterations = 95"))
+    assert main(["sample", "--config", str(bad_cfg),
+                 "--out-dir", str(empty)]) == 2
     # corrupted model file -> format error
     blob = bytearray((empty / "model.cgdbm").read_bytes())
     blob[-3] ^= 0xFF
@@ -227,6 +189,40 @@ def test_edited_whitener_header_exit_code(run_dir, tmp_path):
     (run / "whitener.cgmat").write_bytes(
         whitener.replace(b"mean_patch_norm=", b"mean_patch_norm=7", 1))
     assert main(["analyze", "--config", str(cfg), "--out-dir", str(run)]) == 4
+
+
+def test_whitener_without_mean_patch_norm_exit_code(run_dir, tmp_path):
+    # a whitener written without the norm that scales the gratings, under
+    # a valid digest, must not be analysed with zero-amplitude gratings
+    root, cfg, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    flat, meta = load_matrix(run / "whitener.cgmat")
+    del meta["mean_patch_norm"]
+    save_matrix(run / "whitener.cgmat", flat, meta=meta)
+    assert main(["analyze", "--config", str(cfg), "--out-dir", str(run)]) == 4
+
+
+def test_analyze_function_reproduces_summary(run_dir, tmp_path,
+                                             monkeypatch):
+    # the analysis is a pure function of the loaded artifacts: it alone
+    # reproduces the stage's summary.txt and writes no file
+    root, cfg_path, out = run_dir
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(cfg_path)
+    params, offsets = load_model(out / "model.cgdbm")
+    frames, _ = load_matrix(out / "frames.cgmat")
+    p_init, _ = load_matrix(out / "p_init.cgmat")
+    whitener, meta = load_whitener(out / "whitener.cgmat")
+    res = analyze(params, offsets, whitener, int(meta["patch_side"]),
+                  float(meta["mean_patch_norm"]), frames, p_init[0],
+                  cfg.analysis, cfg.training,
+                  som_seed=stage_seed(11, "analyze"),
+                  control_seed=stage_seed(11, "analyze", 1))
+    assert "\n".join(res.summary) + "\n" == (out / "summary.txt").read_text()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

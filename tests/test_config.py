@@ -1,5 +1,6 @@
 """Config grammar, validation, and stage-seed derivation."""
 
+import numpy as np
 import pytest
 
 from cgdbm.config import (RunConfig, load_config, parse_config, stage_seed,
@@ -55,7 +56,10 @@ def test_stage_seeds_are_distinct_and_stamped():
     cfg = parse_config(GOOD)
     seeds = {stage_seed(7, s) for s in ("prepare", "train", "sample",
                                         "analyze")}
-    assert len(seeds) == 4
+    seeds.add(stage_seed(7, "analyze", 1))  # the control-frame stream
+    assert len(seeds) == 5
+    assert stage_seed(7, "analyze", 1) == int(
+        np.random.SeedSequence([7, 4, 1]).generate_state(1)[0])
     assert cfg.training.seed == stage_seed(7, "train")
     assert cfg.sampling.seed == stage_seed(7, "sample")
     with pytest.raises(ConfigError):

@@ -1,17 +1,15 @@
 """Whitening and grating stimuli checks against small closed-form cases."""
 
-import math
-
 import numpy as np
 import pytest
 
 from cgdbm.config import DataConfig
-from cgdbm.errors import ConfigError, DomainError
-from cgdbm.io import save_matrix, write_pgm
+from cgdbm.errors import ConfigError, DomainError, FormatError
+from cgdbm.io import load_matrix, save_matrix, write_pgm
 from cgdbm.stimuli import (Whitener, default_frequencies, dewhiten,
                            extract_patches, fit_whitener, generate_gratings,
-                           group_by_orientation, load_grayscale_images,
-                           whiten)
+                           load_grayscale_images, load_whitener,
+                           save_whitener, whiten)
 from cgdbm.synth import dead_leaves_image, make_corpus
 
 # the grating grid the analyze stage uses at its default counts
@@ -19,9 +17,9 @@ ORIENTATIONS = np.arange(8) * 22.5
 PHASES = np.arange(4) * (np.pi / 2)
 
 
-def grating_grid(side, amplitude=1.0):
+def grating_grid(side):
     return generate_gratings(side, ORIENTATIONS, default_frequencies(side),
-                             PHASES, amplitude=amplitude)
+                             PHASES)
 
 
 # --- patches ----------------------------------------------------------------
@@ -146,43 +144,34 @@ def test_fit_whitener_input_validation(rng):
 # --- gratings ---------------------------------------------------------------
 
 def test_grating_grid_size_and_order():
-    g, specs = grating_grid(12)
-    assert g.shape == (8 * 6 * 4, 144)
-    assert len(specs) == 192
-    # orientation-major ordering
-    assert specs[0].orientation_deg == 0.0
-    assert specs[23].orientation_deg == 0.0
-    assert specs[24].orientation_deg == 22.5
-    # frequency then phase within a block
-    assert specs[0].frequency == specs[3].frequency
-    assert specs[0].phase == 0.0
-    assert specs[1].phase == pytest.approx(math.pi / 2)
+    g = grating_grid(12)
+    assert g.shape == (8, 6 * 4, 144)
+    # within an orientation group: frequency, then phase
+    freqs = default_frequencies(12)
+    for k in (0, 1):
+        alone = generate_gratings(12, [ORIENTATIONS[k]], [freqs[1]],
+                                  [PHASES[3]])
+        np.testing.assert_array_equal(g[k, 1 * 4 + 3], alone[0, 0])
 
 
 def test_grating_zero_orientation_rows_constant():
     # orientation 0: intensity varies along columns only
-    g, specs = generate_gratings(8, orientations_deg=[0.0], frequencies=[2.0],
-                                 phases=[0.3], amplitude=1.5)
-    patch = g[0].reshape(8, 8)
+    g = generate_gratings(8, orientations_deg=[0.0], frequencies=[2.0],
+                          phases=[0.3])
+    patch = g[0, 0].reshape(8, 8)
     for r in range(1, 8):
         np.testing.assert_allclose(patch[r], patch[0], atol=1e-12)
     np.testing.assert_allclose(
-        patch[0], 1.5 * np.cos(2 * np.pi * 2.0 * np.arange(8) / 8 + 0.3),
+        patch[0], np.cos(2 * np.pi * 2.0 * np.arange(8) / 8 + 0.3),
         atol=1e-12)
 
 
 def test_grating_90_degrees_columns_constant():
-    g, _ = generate_gratings(8, orientations_deg=[90.0], frequencies=[1.0],
-                             phases=[0.0])
-    patch = g[0].reshape(8, 8)
+    g = generate_gratings(8, orientations_deg=[90.0], frequencies=[1.0],
+                          phases=[0.0])
+    patch = g[0, 0].reshape(8, 8)
     for c in range(1, 8):
         np.testing.assert_allclose(patch[:, c], patch[:, 0], atol=1e-12)
-
-
-def test_grating_amplitude_linearity():
-    g1, _ = grating_grid(10, amplitude=1.0)
-    g2, _ = grating_grid(10, amplitude=2.0)
-    np.testing.assert_allclose(g2, 2.0 * g1, atol=1e-12)
 
 
 def test_default_grids():
@@ -194,11 +183,42 @@ def test_default_grids():
 
 
 def test_group_by_orientation():
-    g, specs = grating_grid(8)
-    orientations, groups = group_by_orientation(g, specs)
-    assert len(orientations) == 8
-    assert all(grp.shape == (24, 64) for grp in groups)
-    np.testing.assert_array_equal(groups[0], g[:24])
+    # group k holds exactly the gratings of orientation k
+    g = grating_grid(8)
+    for k, theta in enumerate(ORIENTATIONS):
+        alone = generate_gratings(8, [theta], default_frequencies(8), PHASES)
+        np.testing.assert_array_equal(g[k], alone[0])
+
+
+# --- whitener files ---------------------------------------------------------
+
+def test_whitener_round_trip(tmp_path, rng):
+    w = fit_whitener(rng.normal(size=(200, 16)), 5)
+    save_whitener(tmp_path / "w.cgmat", w, 4, 2.5)
+    got, meta = load_whitener(tmp_path / "w.cgmat")
+    for field in ("mean", "eigvals", "basis"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(w, field))
+    assert meta == {"patch_side": "4", "mean_patch_norm": "2.5",
+                    "format": "whitener", "d": "16", "k": "5"}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("patch_side", None), ("patch_side", "5"), ("patch_side", "four"),
+    ("mean_patch_norm", None), ("mean_patch_norm", "0"),
+    ("mean_patch_norm", "nan"), ("mean_patch_norm", "-inf"),
+])
+def test_whitener_header_must_scale_and_shape_gratings(tmp_path, rng, key,
+                                                       value):
+    path = tmp_path / "w.cgmat"
+    save_whitener(path, fit_whitener(rng.normal(size=(200, 16)), 5), 4, 2.5)
+    flat, meta = load_matrix(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    save_matrix(path, flat, meta=meta)
+    with pytest.raises(FormatError, match=key):
+        load_whitener(path)
 
 
 # --- synthetic corpus -------------------------------------------------------

@@ -299,8 +299,8 @@ class TestTrain:
         cfg = TrainConfig(epochs_max=4, batch_size=20, seed=7)
         res = train(data, (3, 4, 2), cfg)
         assert len(res.log) == 4
-        assert all(np.isfinite(r.recon_error) for r in res.log)
-        assert res.log[0].lr == 0.03
+        assert all(np.isfinite(r.reconstruction_error) for r in res.log)
+        assert res.log[0].learning_rate == 0.03
         assert np.all(np.isfinite(res.params.W))
 
     def test_deterministic_given_seed(self, rng):
@@ -310,7 +310,7 @@ class TestTrain:
         b = train(data, (3, 4, 2), cfg)
         np.testing.assert_array_equal(a.params.W, b.params.W)
         np.testing.assert_array_equal(a.params.sigma2, b.params.sigma2)
-        assert [r.recon_error for r in a.log] == [r.recon_error for r in b.log]
+        assert [r.reconstruction_error for r in a.log] == [r.reconstruction_error for r in b.log]
 
     def test_divergence_carries_last_good_state(self, rng):
         data = rng.standard_normal((60, 3)) * 50.0
