@@ -12,6 +12,7 @@ failure (including training divergence), 4 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -296,7 +297,26 @@ def run(args) -> int:
     raise ConfigError(f"unknown command {args.command!r}")
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's OpenBLAS on one thread, whatever OPENBLAS_NUM_THREADS
+    says.  Results then do not depend on the thread count (a second
+    thread changes the last bits of some products, and training amplifies
+    them), and training's worker thread does not oversubscribe the cores.
+    Does nothing if numpy's BLAS does not export the call."""
+    try:
+        from numpy._core import _multiarray_umath
+        # dlsym on numpy's core module also finds the OpenBLAS it links
+        set_threads = ctypes.CDLL(
+            _multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+    except (ImportError, OSError, AttributeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return run(args)

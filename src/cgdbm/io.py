@@ -17,6 +17,7 @@ rewriting the same content produces byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -47,36 +48,48 @@ def _write_framed(path, magic: bytes, header: dict[str, str],
         fh.write(digest.digest())
 
 
-def _read_framed(path, magic: bytes) -> tuple[dict[str, str], memoryview]:
+def _read_framed(path, magic: bytes, payload_count) -> tuple[dict[str, str], np.ndarray]:
     """Header and payload of a framed file.  The header is parsed before
     the digest is checked, so a malformed header reports what is wrong
-    with it; the payload is a view into the file's bytes, not a copy."""
+    with it.  payload_count(header) gives the number of float64 values
+    the header implies; the payload is read straight into one new array
+    of that many, so the file is held in memory once."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(magic):
-        raise FormatError(f"{path}: bad magic, expected {magic!r}")
-    pos = len(magic)
-    header: dict[str, str] = {}
-    while True:
-        end = blob.find(b"\n", pos)
-        if end < 0:
-            raise FormatError(f"{path}: header never terminated")
-        line = blob[pos:pos + (end - pos)]
-        pos = end + 1
-        if line == b"":
-            break
-        if b"=" not in line:
-            raise FormatError(f"{path}: malformed header line {line!r}")
-        if not line.isascii():
-            raise FormatError(f"{path}: non-ascii header line {line!r}")
-        k, v = line.split(b"=", 1)
-        header[k.decode("ascii")] = v.decode("ascii")
-    if len(blob) - pos < 8:
-        raise FormatError(f"{path}: truncated, no checksum")
-    view = memoryview(blob)
-    if hashlib.blake2b(view[:-8], digest_size=8).digest() != blob[-8:]:
+        if fh.read(len(magic)) != magic:
+            raise FormatError(f"{path}: bad magic, expected {magic!r}")
+        head = [magic]
+        header: dict[str, str] = {}
+        while True:
+            raw = fh.readline()
+            if not raw.endswith(b"\n"):
+                raise FormatError(f"{path}: header never terminated")
+            head.append(raw)
+            line = raw[:-1]
+            if line == b"":
+                break
+            if b"=" not in line:
+                raise FormatError(f"{path}: malformed header line {line!r}")
+            if not line.isascii():
+                raise FormatError(f"{path}: non-ascii header line {line!r}")
+            k, v = line.split(b"=", 1)
+            header[k.decode("ascii")] = v.decode("ascii")
+        found = os.fstat(fh.fileno()).st_size - fh.tell() - 8
+        if found < 0:
+            raise FormatError(f"{path}: truncated, no checksum")
+        count = payload_count(header)
+        if found != count * 8:
+            raise FormatError(f"{path}: header implies {count * 8} "
+                              f"payload bytes, found {found}")
+        payload = np.empty(count, dtype="<f8")
+        got = fh.readinto(payload)
+        trailer = fh.read(9)
+        if got != payload.nbytes or len(trailer) != 8:
+            raise FormatError(f"{path}: changed while it was read")
+    digest = hashlib.blake2b(b"".join(head), digest_size=8)
+    digest.update(payload)
+    if digest.digest() != trailer:
         raise FormatError(f"{path}: checksum mismatch")
-    return header, view[pos:-8]
+    return header, payload
 
 
 def _header_int(header: dict[str, str], key: str, path) -> int:
@@ -97,22 +110,18 @@ def save_model(path, p: ModelParams, c: Offsets) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, Offsets]:
-    header, payload = _read_framed(path, MODEL_MAGIC)
-    L = _header_int(header, "L", path)
-    M = _header_int(header, "M", path)
-    N = _header_int(header, "N", path)
-    counts = [L * M, M * N, M, N, L, L, M, N]
-    total = sum(counts)
-    if len(payload) != total * 8:
-        raise FormatError(f"{path}: dims ({L},{M},{N}) imply {total * 8} payload "
-                          f"bytes, found {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    out = []
+    def payload_count(header):
+        L, M, N = (_header_int(header, key, path) for key in "LMN")
+        return L * M + M * N + 2 * (L + M + N)
+
+    header, flat = _read_framed(path, MODEL_MAGIC, payload_count)
+    L, M, N = (int(header[key]) for key in "LMN")
+    parts = []
     pos = 0
-    for n in counts:
-        out.append(flat[pos:pos + n].copy())
+    for n in (L * M, M * N, M, N, L, L, M, N):
+        parts.append(flat[pos:pos + n])
         pos += n
-    W, U, b_y, b_z, sigma2, c_x, c_y, c_z = out
+    W, U, b_y, b_z, sigma2, c_x, c_y, c_z = parts
     p = ModelParams(W=W.reshape(L, M), U=U.reshape(M, N), b_y=b_y, b_z=b_z,
                     sigma2=sigma2)
     c = Offsets(c_x=c_x, c_y=c_y, c_z=c_z)
@@ -132,13 +141,12 @@ def save_matrix(path, array, meta: dict[str, str] | None = None) -> None:
 
 
 def load_matrix(path) -> tuple[np.ndarray, dict[str, str]]:
-    header, payload = _read_framed(path, MATRIX_MAGIC)
-    rows = _header_int(header, "rows", path)
-    cols = _header_int(header, "cols", path)
-    if len(payload) != rows * cols * 8:
-        raise FormatError(f"{path}: shape ({rows},{cols}) implies "
-                          f"{rows * cols * 8} payload bytes, found {len(payload)}")
-    a = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    def payload_count(header):
+        return (_header_int(header, "rows", path)
+                * _header_int(header, "cols", path))
+
+    header, flat = _read_framed(path, MATRIX_MAGIC, payload_count)
+    a = flat.reshape(int(header["rows"]), int(header["cols"]))
     meta = {k: v for k, v in header.items() if k not in ("rows", "cols")}
     return a, meta
 

@@ -27,8 +27,12 @@ from .errors import DomainError, NumericError, ShapeError
 SIGMA2_FLOOR = 1e-4
 
 
-def sigmoid(x):
-    """Logistic function, elementwise: scipy's ``expit``.
+_expit = None
+
+
+def sigmoid(x, out=None):
+    """Logistic function, elementwise: scipy's ``expit``, written into
+    `out` if given.
 
     scipy is imported on the first call rather than with this module, so
     a process that never samples a unit does not pay for loading it.
@@ -36,9 +40,10 @@ def sigmoid(x):
     logistic, which differs from ``expit`` in the last bits, would change
     every trained model.
     """
-    from scipy.special import expit
-
-    return expit(x)
+    global _expit
+    if _expit is None:
+        from scipy.special import expit as _expit
+    return _expit(x, out=out)
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
@@ -50,8 +55,9 @@ def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings, biases and visible variances.  Arrays are not copied;
-    treat an instance as immutable and build a new one to update."""
+    """Couplings, biases and visible variances.  Arrays are not copied.
+    Treat an instance as immutable; only `training.train` updates the
+    arrays of its own instance in place, and hands out copies."""
 
     W: np.ndarray       # (L, M) visible to hidden-1 coupling
     U: np.ndarray       # (M, N) hidden-1 to hidden-2 coupling
@@ -143,28 +149,60 @@ def energy(x, y, z, p: ModelParams, c: Offsets) -> np.ndarray:
     return e
 
 
-def cond_visible(y, p: ModelParams, c: Offsets):
+@dataclass(frozen=True)
+class Workspace:
+    """Scratch arrays for the conditionals of n states at once, shaped
+    (n, L), (n, M) and (n, N).  Passed as `work` together with an `out`
+    array, the conditionals allocate nothing; the arithmetic is the same
+    with or without them."""
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, dims: tuple[int, int, int]) -> "Workspace":
+        L, M, N = dims
+        return cls(x=np.empty((n, L)), y=np.empty((n, M)), z=np.empty((n, N)))
+
+
+def cond_visible(y, p: ModelParams, c: Offsets, out=None,
+                 work: Workspace | None = None):
     """Gaussian conditional of the visible layer given hidden-1.
 
     Accepts a single y vector or a batch (rows).  Returns (means,
-    variances); the variances are the model's sigma2 regardless of y.
+    variances); the variances are the model's own sigma2 array, not a
+    copy, whatever y is.  Uses work.y.
     """
     y = np.asarray(y, dtype=np.float64)
-    means = (y - c.c_y) @ p.W.T + c.c_x
-    return means, p.sigma2.copy()
+    yc = np.subtract(y, c.c_y, out=None if work is None else work.y)
+    means = np.matmul(yc, p.W.T, out=out)
+    means += c.c_x
+    return means, p.sigma2
 
 
-def cond_hidden1(x, z, p: ModelParams, c: Offsets):
+def cond_hidden1(x, z, p: ModelParams, c: Offsets, out=None,
+                 work: Workspace | None = None):
     """P(y_j = 1 | x, z).  The bottom-up drive is variance-scaled: the
     x term enters as (x - c_x) / sigma2, which is what the energy's
-    coupling term implies.  Accepts vectors or batches."""
+    coupling term implies.  Accepts vectors or batches.  Uses work.x,
+    work.z and work.y."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    pre = ((x - c.c_x) / p.sigma2) @ p.W + (z - c.c_z) @ p.U.T + p.b_y
-    return sigmoid(pre)
+    xs = np.subtract(x, c.c_x, out=None if work is None else work.x)
+    xs /= p.sigma2
+    pre = np.matmul(xs, p.W, out=out)
+    zc = np.subtract(z, c.c_z, out=None if work is None else work.z)
+    pre += np.matmul(zc, p.U.T, out=None if work is None else work.y)
+    pre += p.b_y
+    return sigmoid(pre, out=pre)
 
 
-def cond_hidden2(y, p: ModelParams, c: Offsets):
-    """P(z_k = 1 | y).  Accepts a vector or a batch."""
+def cond_hidden2(y, p: ModelParams, c: Offsets, out=None,
+                 work: Workspace | None = None):
+    """P(z_k = 1 | y).  Accepts a vector or a batch.  Uses work.y."""
     y = np.asarray(y, dtype=np.float64)
-    return sigmoid((y - c.c_y) @ p.U + p.b_z)
+    yc = np.subtract(y, c.c_y, out=None if work is None else work.y)
+    pre = np.matmul(yc, p.U, out=out)
+    pre += p.b_z
+    return sigmoid(pre, out=pre)

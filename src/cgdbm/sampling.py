@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .model import ModelParams, Offsets, check_dims, cond_hidden1
+from .model import ModelParams, Offsets, Workspace, check_dims, cond_hidden1
 from .training import PersistentChains, TrainConfig, gibbs_model_step, mean_field_data
 
 
@@ -78,15 +78,16 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
         y=y0,
         z=np.broadcast_to(c.c_z, (cfg.n_chains, N)).copy(),
     )
+    work = Workspace.empty(cfg.n_chains, (L, M, N))
     n_records = cfg.n_iterations // cfg.record_every
     frames = np.empty((n_records * cfg.n_chains, M))
     rec = 0
     for sweep in range(1, cfg.n_iterations + 1):
-        chains = gibbs_model_step(chains, p, c, rng)
+        gibbs_model_step(chains, p, c, rng, work)
         if sweep % cfg.record_every == 0:
             # Same x and z the sweep's y was drawn from.
-            frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains] = cond_hidden1(
-                chains.x, chains.z, p, c)
+            cond_hidden1(chains.x, chains.z, p, c, work=work,
+                         out=frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains])
             rec += 1
     return frames
 

@@ -7,6 +7,12 @@ centering offsets follow moving averages of the batch activities with a
 compensating bias shift that leaves the represented distribution over the
 hidden layers unchanged.
 
+The two halves of a batch do not depend on each other: the data term
+draws no random numbers, so for large models `train` runs it on a worker
+thread while the main thread advances the chains, and then applies the
+update.  `train` owns one set of parameter, offset, chain, gradient and
+velocity arrays and updates them in place.
+
 Conventions fixed here:
   - the sigma gradient acts on the standard deviations, with its own
     (smaller) learning rate and a hard per-update clip;
@@ -19,7 +25,8 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,12 +35,24 @@ from .model import (
     SIGMA2_FLOOR,
     ModelParams,
     Offsets,
+    Workspace,
     check_dims,
     cond_hidden1,
     cond_hidden2,
     cond_visible,
     sigmoid,
 )
+
+
+# The data phase runs on a worker thread when a batch's pass through the
+# couplings, batch_size * M * (L + N), has at least this many
+# multiply-adds.  The overlap pays only while BLAS, which releases the
+# interpreter lock, dominates both threads.  For small models most of the
+# time is numpy call overhead, and handing the lock back and forth costs
+# more than the overlap saves: at 100/64/16 (742k) the threaded loop took
+# more CPU time and more wall time than the plain one on a 2-vCPU host; at
+# 256/900/100 (32M) it cut the wall time by a quarter.
+OVERLAP_MIN_MULTIPLY_ADDS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -114,6 +133,19 @@ class GradientStats:
     db_y: np.ndarray
     db_z: np.ndarray
     dsigma: np.ndarray
+
+    @classmethod
+    def zeros(cls, dims: tuple[int, int, int]) -> "GradientStats":
+        L, M, N = dims
+        return cls(dW=np.zeros((L, M)), dU=np.zeros((M, N)),
+                   db_y=np.zeros(M), db_z=np.zeros(N), dsigma=np.zeros(L))
+
+    def subtract(self, other: "GradientStats") -> "GradientStats":
+        """Subtract other block by block, in place; returns self."""
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            np.subtract(mine, getattr(other, f.name), out=mine)
+        return self
 
 
 @dataclass
@@ -237,65 +269,86 @@ def mean_field_data(x_batch, p: ModelParams, c: Offsets,
 
 
 def gibbs_model_step(chains: PersistentChains, p: ModelParams, c: Offsets,
-                     rng: np.random.Generator) -> PersistentChains:
-    """One Gibbs sweep of every chain: top layer from y, visibles from y,
-    then y from the fresh x and z.  Draw order is fixed (z, x, y) with all
-    chains advanced together, so a given rng state yields one result."""
-    z_prob = cond_hidden2(chains.y, p, c)
-    z = (rng.random(z_prob.shape) < z_prob).astype(np.float64)
-    means, variances = cond_visible(chains.y, p, c)
-    x = means + rng.standard_normal(means.shape) * np.sqrt(variances)
-    y_prob = cond_hidden1(x, z, p, c)
-    y = (rng.random(y_prob.shape) < y_prob).astype(np.float64)
-    return PersistentChains(x=x, y=y, z=z)
+                     rng: np.random.Generator,
+                     work: Workspace | None = None) -> PersistentChains:
+    """One Gibbs sweep of every chain, in place: top layer from y,
+    visibles from y, then y from the fresh x and z.  Draw order is fixed
+    (z, x, y) with all chains advanced together, so a given rng state
+    yields one result.  Each conditional is written into the chain array
+    its sample replaces, and the draws go through `work` (allocated if
+    not given), so a sweep allocates no batch-sized array.  Returns
+    chains."""
+    if work is None:
+        work = Workspace.empty(chains.y.shape[0], p.dims)
+    z_prob = cond_hidden2(chains.y, p, c, out=chains.z, work=work)
+    np.less(rng.random(out=work.z), z_prob, out=chains.z)
+    means, variances = cond_visible(chains.y, p, c, out=chains.x, work=work)
+    noise = rng.standard_normal(out=work.x)
+    noise *= np.sqrt(variances)
+    means += noise
+    y_prob = cond_hidden1(chains.x, chains.z, p, c, out=chains.y, work=work)
+    np.less(rng.random(out=work.y), y_prob, out=chains.y)
+    return chains
 
 
-def batch_gradient_stats(x, y, z, p: ModelParams, c: Offsets) -> GradientStats:
-    """Batch means of the -E gradients; accepts probabilities or samples."""
+def batch_gradient_stats(x, y, z, p: ModelParams, c: Offsets,
+                         out: GradientStats | None = None) -> GradientStats:
+    """Batch means of the -E gradients; accepts probabilities or samples.
+    The blocks are written into `out` if given."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if out is None:
+        out = GradientStats.zeros(p.dims)
     B = x.shape[0]
     t = x - c.c_x
     yc = y - c.c_y
     zc = z - c.c_z
     tw = t / p.sigma2
-    dW = tw.T @ yc / B
-    dU = yc.T @ zc / B
+    np.divide(np.matmul(tw.T, yc, out=out.dW), B, out=out.dW)
+    np.divide(np.matmul(yc.T, zc, out=out.dU), B, out=out.dU)
     m = yc @ p.W.T
-    dsigma = ((t * t - 2.0 * t * m) / p.sigma2**1.5).mean(axis=0)
-    return GradientStats(dW=dW, dU=dU, db_y=yc.mean(axis=0), db_z=zc.mean(axis=0),
-                         dsigma=dsigma)
+    ((t * t - 2.0 * t * m) / p.sigma2**1.5).mean(axis=0, out=out.dsigma)
+    yc.mean(axis=0, out=out.db_y)
+    zc.mean(axis=0, out=out.db_z)
+    return out
 
 
-def apply_updates(p: ModelParams, opt: OptimizerState, data_stats: GradientStats,
-                  model_stats: GradientStats, lr: float, momentum: float,
-                  cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
-    """Momentum SGD step on the data-minus-model gradient estimate.
+def apply_updates(p: ModelParams, opt: OptimizerState, grad: GradientStats,
+                  lr: float, momentum: float, cfg: TrainConfig) -> None:
+    """Momentum SGD step on the data-minus-model gradient `grad`, in place
+    on p and opt; grad is used as scratch and holds nothing afterwards.
 
     Sigma steps use lr * sigma_lr_factor and are clipped elementwise; the
     velocity itself is clipped so it cannot wind up past the bound.
     """
-    vW = momentum * opt.vW + lr * (data_stats.dW - model_stats.dW)
-    vU = momentum * opt.vU + lr * (data_stats.dU - model_stats.dU)
-    vb_y = momentum * opt.vb_y + lr * (data_stats.db_y - model_stats.db_y)
-    vb_z = momentum * opt.vb_z + lr * (data_stats.db_z - model_stats.db_z)
-    vs = momentum * opt.vsigma + (lr * cfg.sigma_lr_factor) * (
-        data_stats.dsigma - model_stats.dsigma)
-    vs = np.clip(vs, -cfg.sigma_step_clip, cfg.sigma_step_clip)
-    sigma = np.maximum(np.sqrt(p.sigma2) + vs, np.sqrt(SIGMA2_FLOOR))
-    new = ModelParams(W=p.W + vW, U=p.U + vU, b_y=p.b_y + vb_y,
-                      b_z=p.b_z + vb_z, sigma2=sigma * sigma)
-    for name, arr in (("W", new.W), ("U", new.U), ("b_y", new.b_y),
-                      ("b_z", new.b_z), ("sigma2", new.sigma2)):
+    for v, g, w in ((opt.vW, grad.dW, p.W), (opt.vU, grad.dU, p.U),
+                    (opt.vb_y, grad.db_y, p.b_y), (opt.vb_z, grad.db_z, p.b_z)):
+        v *= momentum
+        g *= lr
+        v += g
+        w += v
+    vs, sigma = opt.vsigma, grad.dsigma
+    vs *= momentum
+    sigma *= lr * cfg.sigma_lr_factor
+    vs += sigma
+    np.clip(vs, -cfg.sigma_step_clip, cfg.sigma_step_clip, out=vs)
+    np.sqrt(p.sigma2, out=sigma)
+    sigma += vs
+    np.maximum(sigma, np.sqrt(SIGMA2_FLOOR), out=sigma)
+    np.maximum(np.multiply(sigma, sigma, out=p.sigma2), SIGMA2_FLOOR,
+               out=p.sigma2)
+    for name, arr in (("W", p.W), ("U", p.U), ("b_y", p.b_y),
+                      ("b_z", p.b_z), ("sigma2", p.sigma2)):
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values in {name} after update")
-    return new, OptimizerState(vW=vW, vU=vU, vb_y=vb_y, vb_z=vb_z, vsigma=vs)
 
 
 def update_offsets(c: Offsets, batch_mean_y, batch_mean_z, batch_mean_x,
-                   p: ModelParams, nu: float) -> tuple[Offsets, np.ndarray, np.ndarray]:
+                   p: ModelParams, nu: float,
+                   out: Offsets | None = None) -> tuple[Offsets, np.ndarray, np.ndarray]:
     """Move every offset a step nu toward its batch mean and return the
+    moved offsets (written into `out` if given, which may be c) and the
     bias corrections that keep the distribution over (y, z) identical.
 
     Moving c_y by d changes the y-linear part of the hidden free energy by
@@ -318,8 +371,13 @@ def update_offsets(c: Offsets, batch_mean_y, batch_mean_z, batch_mean_x,
     d_x = nu * (mx - c.c_x)
     db_y = p.W.T @ ((p.W @ d_y) / p.sigma2) + p.U @ d_z
     db_z = p.U.T @ d_y
-    new_c = Offsets(c_x=c.c_x + d_x, c_y=c.c_y + d_y, c_z=c.c_z + d_z)
-    return new_c, db_y, db_z
+    if out is None:
+        out = Offsets(c_x=c.c_x + d_x, c_y=c.c_y + d_y, c_z=c.c_z + d_z)
+    else:
+        np.add(c.c_x, d_x, out=out.c_x)
+        np.add(c.c_y, d_y, out=out.c_y)
+        np.add(c.c_z, d_z, out=out.c_z)
+    return out, db_y, db_z
 
 
 def reconstruction_error(p: ModelParams, c: Offsets, data) -> float:
@@ -344,15 +402,35 @@ class TrainResult:
     stopped_early: bool = False
 
 
+def _data_phase(batch, p: ModelParams, c: Offsets, cfg: TrainConfig,
+                out: GradientStats):
+    """The data half of one batch: mean-field inference and the data
+    statistics (into out).  It draws no random numbers, so it can run on
+    another thread beside the chains.  Returns the batch means of y, z
+    and x."""
+    mf = mean_field_data(batch, p, c, cfg)
+    batch_gradient_stats(batch, mf.y, mf.z, p, c, out=out)
+    return mf.y.mean(axis=0), mf.z.mean(axis=0), batch.mean(axis=0)
+
+
+def _snapshot(p: ModelParams, c: Offsets) -> tuple[ModelParams, Offsets]:
+    """Copies of the state train() updates in place, safe to hand out."""
+    return (ModelParams(W=p.W.copy(), U=p.U.copy(), b_y=p.b_y.copy(),
+                        b_z=p.b_z.copy(), sigma2=p.sigma2.copy()),
+            Offsets(c_x=c.c_x.copy(), c_y=c.c_y.copy(), c_z=c.c_z.copy()))
+
+
 def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
           progress=None) -> TrainResult:
     """Run the full training schedule on the dataset rows.
 
     A validation slice (cfg.val_fraction of the rows, chosen by an rng
-    seeded from cfg.seed, which drives every draw of the run) is held out for the stopping rule; training stops after `patience`
-    epochs without a new best validation reconstruction error.  Raises
-    TrainingDiverged, carrying the last finite state, if parameters leave
-    the finite range.
+    seeded from cfg.seed, which drives every draw of the run) is held out
+    for the stopping rule; training stops after `patience` epochs without
+    a new best validation reconstruction error.  After each epoch,
+    progress(record, params, offsets, log) gets copies of the state.
+    Raises TrainingDiverged, carrying the last finite state, if parameters
+    leave the finite range.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -377,6 +455,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
     if cfg.epochs_max == 0:
         return TrainResult(params=p, offsets=c, log=[])
 
+    # Everything below is updated in place; only _snapshot copies leave.
     opt = OptimizerState.zeros(dims)
     n_chains = cfg.batch_size
     chains = PersistentChains(
@@ -384,64 +463,78 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
         y=np.broadcast_to(c.c_y, (n_chains, M)).copy(),
         z=np.broadcast_to(c.c_z, (n_chains, N)).copy(),
     )
+    work = Workspace.empty(n_chains, dims)
+    data_stats = GradientStats.zeros(dims)
+    model_stats = GradientStats.zeros(dims)
 
     log: list[EpochRecord] = []
     best_val = np.inf
     stall = 0
     stopped_early = False
-    last_good = (p, c)
+    last_good = _snapshot(p, c)
 
-    for epoch in range(cfg.epochs_max):
-        lr, momentum = anneal(cfg, epoch)
-        chains.y = np.broadcast_to(c.c_y, (n_chains, M)).copy()
-        order = rng.permutation(tr.shape[0])
-        gw_norms = []
-        gu_norms = []
-        try:
-            for start in range(0, tr.shape[0], cfg.batch_size):
-                batch = tr[order[start:start + cfg.batch_size]]
-                mf = mean_field_data(batch, p, c, cfg)
-                data_stats = batch_gradient_stats(batch, mf.y, mf.z, p, c)
-                for _ in range(cfg.gibbs_steps_per_batch):
-                    chains = gibbs_model_step(chains, p, c, rng)
-                model_stats = batch_gradient_stats(chains.x, chains.y, chains.z, p, c)
-                p, opt = apply_updates(p, opt, data_stats, model_stats,
-                                       lr, momentum, cfg)
-                c, db_y, db_z = update_offsets(c, mf.y.mean(axis=0),
-                                               mf.z.mean(axis=0),
-                                               batch.mean(axis=0),
-                                               p, cfg.offset_rate)
-                p = replace(p, b_y=p.b_y + db_y, b_z=p.b_z + db_z)
-                # Smooth the persistent hidden-1 state to its conditional
-                # probabilities before the next batch.
-                chains.y = cond_hidden1(chains.x, chains.z, p, c)
-                gw_norms.append(float(np.linalg.norm(data_stats.dW - model_stats.dW)))
-                gu_norms.append(float(np.linalg.norm(data_stats.dU - model_stats.dU)))
-            err = reconstruction_error(p, c, val)
-            if not np.isfinite(err):
-                raise NumericError("validation reconstruction error is not finite")
-        except NumericError as exc:
-            raise TrainingDiverged(
-                f"training diverged in epoch {epoch}: {exc}",
-                params=last_good[0], offsets=last_good[1], log=log) from exc
+    overlap = cfg.batch_size * M * (L + N) >= OVERLAP_MIN_MULTIPLY_ADDS
+    if overlap:
+        # imported here: it costs the other stages' processes 0.6 MB
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as worker:
+        for epoch in range(cfg.epochs_max):
+            lr, momentum = anneal(cfg, epoch)
+            chains.y[...] = c.c_y
+            order = rng.permutation(tr.shape[0])
+            gw_norms = []
+            gu_norms = []
+            try:
+                for start in range(0, tr.shape[0], cfg.batch_size):
+                    batch = tr[order[start:start + cfg.batch_size]]
+                    if overlap:
+                        data_phase = worker.submit(_data_phase, batch, p, c,
+                                                   cfg, data_stats)
+                    for _ in range(cfg.gibbs_steps_per_batch):
+                        gibbs_model_step(chains, p, c, rng, work)
+                    batch_gradient_stats(chains.x, chains.y, chains.z, p, c,
+                                         out=model_stats)
+                    mean_y, mean_z, mean_x = (
+                        data_phase.result() if overlap
+                        else _data_phase(batch, p, c, cfg, data_stats))
+                    grad = data_stats.subtract(model_stats)
+                    gw_norms.append(float(np.linalg.norm(grad.dW)))
+                    gu_norms.append(float(np.linalg.norm(grad.dU)))
+                    apply_updates(p, opt, grad, lr, momentum, cfg)
+                    _, db_y, db_z = update_offsets(c, mean_y, mean_z, mean_x,
+                                                   p, cfg.offset_rate, out=c)
+                    np.add(p.b_y, db_y, out=p.b_y)
+                    np.add(p.b_z, db_z, out=p.b_z)
+                    # Smooth the persistent hidden-1 state to its conditional
+                    # probabilities before the next batch.
+                    cond_hidden1(chains.x, chains.z, p, c, out=chains.y,
+                                 work=work)
+                err = reconstruction_error(p, c, val)
+                if not np.isfinite(err):
+                    raise NumericError("validation reconstruction error is not finite")
+            except NumericError as exc:
+                raise TrainingDiverged(
+                    f"training diverged in epoch {epoch}: {exc}",
+                    params=last_good[0], offsets=last_good[1], log=log) from exc
 
-        last_good = (p, c)
-        rec = EpochRecord(epoch=epoch, reconstruction_error=err,
-                          learning_rate=lr, momentum=momentum,
-                          grad_norm_W=float(np.mean(gw_norms)) if gw_norms else 0.0,
-                          grad_norm_U=float(np.mean(gu_norms)) if gu_norms else 0.0,
-                          mean_sigma=float(np.mean(np.sqrt(p.sigma2))))
-        log.append(rec)
-        if progress is not None:
-            progress(rec, p, c, log)
+            last_good = _snapshot(p, c)
+            rec = EpochRecord(epoch=epoch, reconstruction_error=err,
+                              learning_rate=lr, momentum=momentum,
+                              grad_norm_W=float(np.mean(gw_norms)) if gw_norms else 0.0,
+                              grad_norm_U=float(np.mean(gu_norms)) if gu_norms else 0.0,
+                              mean_sigma=float(np.mean(np.sqrt(p.sigma2))))
+            log.append(rec)
+            if progress is not None:
+                progress(rec, *last_good, log)
 
-        if err < best_val - 1e-12:
-            best_val = err
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                stopped_early = True
-                break
+            if err < best_val - 1e-12:
+                best_val = err
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    stopped_early = True
+                    break
 
-    return TrainResult(params=p, offsets=c, log=log, stopped_early=stopped_early)
+    return TrainResult(params=last_good[0], offsets=last_good[1], log=log,
+                       stopped_early=stopped_early)

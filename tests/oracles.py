@@ -6,7 +6,11 @@ deliberately not sharing code paths with the package internals beyond the
 row-batched `energy` function itself, which `raw_energy` checks.  The SOM
 reference is the exception: it is a plain per-frame loop compared bit for
 bit, so it shares the lattice distance and the quantization error with
-`train_som`.
+`train_som`.  The training reference is another: the plain allocating,
+single-threaded batch loop and its helpers, compared bit for bit with
+`train`, which runs the data term on a worker thread and updates its
+arrays in place.  It shares what that change left alone (initialization,
+schedules, mean-field inference and the record types).
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ from dataclasses import replace
 import numpy as np
 
 from cgdbm.analysis import SomConfig, circular_distance, quantization_error
-from cgdbm.model import ModelParams, Offsets, energy
+from cgdbm.errors import NumericError, ShapeError
+from cgdbm.model import SIGMA2_FLOOR, ModelParams, Offsets, check_dims, energy, sigmoid
+from cgdbm.training import (EpochRecord, GradientStats, OptimizerState,
+                            PersistentChains, TrainConfig, TrainingDiverged,
+                            TrainResult, anneal, initialize, mean_field_data)
 
 
 def raw_energy(x, y, z, W, U, b_y, b_z, sigma2, c_x, c_y, c_z) -> float:
@@ -201,3 +209,217 @@ def som_reference(frames: np.ndarray, cfg: SomConfig):
             nodes += step[bmu][:, None] * (v - nodes)
         qe[epoch] = quantization_error(nodes, f)
     return nodes, qe
+
+
+# --- training reference -------------------------------------------------------
+
+def _cond_visible(y, p: ModelParams, c: Offsets):
+    y = np.asarray(y, dtype=np.float64)
+    means = (y - c.c_y) @ p.W.T + c.c_x
+    return means, p.sigma2.copy()
+
+
+def _cond_hidden1(x, z, p: ModelParams, c: Offsets):
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    pre = ((x - c.c_x) / p.sigma2) @ p.W + (z - c.c_z) @ p.U.T + p.b_y
+    return sigmoid(pre)
+
+
+def _cond_hidden2(y, p: ModelParams, c: Offsets):
+    y = np.asarray(y, dtype=np.float64)
+    return sigmoid((y - c.c_y) @ p.U + p.b_z)
+
+
+def gibbs_reference(chains: PersistentChains, p: ModelParams, c: Offsets,
+                    rng: np.random.Generator) -> PersistentChains:
+    """One Gibbs sweep into fresh arrays, draw order z, x, y."""
+    z_prob = _cond_hidden2(chains.y, p, c)
+    z = (rng.random(z_prob.shape) < z_prob).astype(np.float64)
+    means, variances = _cond_visible(chains.y, p, c)
+    x = means + rng.standard_normal(means.shape) * np.sqrt(variances)
+    y_prob = _cond_hidden1(x, z, p, c)
+    y = (rng.random(y_prob.shape) < y_prob).astype(np.float64)
+    return PersistentChains(x=x, y=y, z=z)
+
+
+def session_reference(p: ModelParams, c: Offsets, p_init, n_chains: int,
+                      n_iterations: int, record_every: int,
+                      seed: int) -> np.ndarray:
+    """Frames of a free-running session built from `gibbs_reference`."""
+    L, M, N = p.dims
+    rng = np.random.default_rng(seed)
+    y0 = (rng.random((n_chains, M)) < p_init).astype(np.float64)
+    chains = PersistentChains(x=np.broadcast_to(c.c_x, (n_chains, L)).copy(),
+                              y=y0,
+                              z=np.broadcast_to(c.c_z, (n_chains, N)).copy())
+    frames = []
+    for sweep in range(1, n_iterations + 1):
+        chains = gibbs_reference(chains, p, c, rng)
+        if sweep % record_every == 0:
+            frames.append(_cond_hidden1(chains.x, chains.z, p, c))
+    return np.vstack(frames)
+
+
+def _batch_gradient_stats(x, y, z, p: ModelParams, c: Offsets) -> GradientStats:
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    B = x.shape[0]
+    t = x - c.c_x
+    yc = y - c.c_y
+    zc = z - c.c_z
+    tw = t / p.sigma2
+    dW = tw.T @ yc / B
+    dU = yc.T @ zc / B
+    m = yc @ p.W.T
+    dsigma = ((t * t - 2.0 * t * m) / p.sigma2**1.5).mean(axis=0)
+    return GradientStats(dW=dW, dU=dU, db_y=yc.mean(axis=0), db_z=zc.mean(axis=0),
+                         dsigma=dsigma)
+
+
+def _apply_updates(p: ModelParams, opt: OptimizerState, data_stats: GradientStats,
+                   model_stats: GradientStats, lr: float, momentum: float,
+                   cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
+    vW = momentum * opt.vW + lr * (data_stats.dW - model_stats.dW)
+    vU = momentum * opt.vU + lr * (data_stats.dU - model_stats.dU)
+    vb_y = momentum * opt.vb_y + lr * (data_stats.db_y - model_stats.db_y)
+    vb_z = momentum * opt.vb_z + lr * (data_stats.db_z - model_stats.db_z)
+    vs = momentum * opt.vsigma + (lr * cfg.sigma_lr_factor) * (
+        data_stats.dsigma - model_stats.dsigma)
+    vs = np.clip(vs, -cfg.sigma_step_clip, cfg.sigma_step_clip)
+    sigma = np.maximum(np.sqrt(p.sigma2) + vs, np.sqrt(SIGMA2_FLOOR))
+    new = ModelParams(W=p.W + vW, U=p.U + vU, b_y=p.b_y + vb_y,
+                      b_z=p.b_z + vb_z, sigma2=sigma * sigma)
+    for name, arr in (("W", new.W), ("U", new.U), ("b_y", new.b_y),
+                      ("b_z", new.b_z), ("sigma2", new.sigma2)):
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"non-finite values in {name} after update")
+    return new, OptimizerState(vW=vW, vU=vU, vb_y=vb_y, vb_z=vb_z, vsigma=vs)
+
+
+def _update_offsets(c: Offsets, batch_mean_y, batch_mean_z, batch_mean_x,
+                    p: ModelParams, nu: float):
+    L, M, N = check_dims(p, c)
+    my = np.asarray(batch_mean_y, dtype=np.float64)
+    mz = np.asarray(batch_mean_z, dtype=np.float64)
+    mx = np.asarray(batch_mean_x, dtype=np.float64)
+    if my.shape != (M,) or mz.shape != (N,) or mx.shape != (L,):
+        raise ShapeError("batch mean shapes do not match the model dims")
+    if my.min(initial=0.0) < 0.0 or my.max(initial=0.0) > 1.0 \
+            or mz.min(initial=0.0) < 0.0 or mz.max(initial=0.0) > 1.0:
+        raise ValueError("hidden batch means must lie in [0, 1]")
+    d_y = nu * (my - c.c_y)
+    d_z = nu * (mz - c.c_z)
+    d_x = nu * (mx - c.c_x)
+    db_y = p.W.T @ ((p.W @ d_y) / p.sigma2) + p.U @ d_z
+    db_z = p.U.T @ d_y
+    new_c = Offsets(c_x=c.c_x + d_x, c_y=c.c_y + d_y, c_z=c.c_z + d_z)
+    return new_c, db_y, db_z
+
+
+def _reconstruction_error(p: ModelParams, c: Offsets, data) -> float:
+    L, M, N = check_dims(p, c)
+    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    z_rest = np.broadcast_to(c.c_z, (x.shape[0], N))
+    y = _cond_hidden1(x, z_rest, p, c)
+    xhat, _ = _cond_visible(y, p, c)
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.sum((x - xhat) ** 2, axis=1)))
+
+
+def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
+                    progress=None) -> TrainResult:
+    """`train` as one allocating, single-threaded loop: every batch
+    builds new parameter, offset and chain objects."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    data = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
+    L, M, N = dims
+    if data.shape[1] != L:
+        raise ShapeError(f"dataset width {data.shape[1]} does not match L={L}")
+    n = data.shape[0]
+    if n < 2:
+        raise ShapeError("need at least two rows to train")
+
+    perm = rng.permutation(n)
+    n_val = int(round(cfg.val_fraction * n))
+    if 0 < n_val < n:
+        val = data[perm[:n_val]]
+        tr = data[perm[n_val:]]
+    else:
+        val = data
+        tr = data
+
+    p, c = initialize(dims, data.mean(axis=0), cfg, rng)
+    if cfg.epochs_max == 0:
+        return TrainResult(params=p, offsets=c, log=[])
+
+    opt = OptimizerState.zeros(dims)
+    n_chains = cfg.batch_size
+    chains = PersistentChains(
+        x=np.broadcast_to(c.c_x, (n_chains, L)).copy(),
+        y=np.broadcast_to(c.c_y, (n_chains, M)).copy(),
+        z=np.broadcast_to(c.c_z, (n_chains, N)).copy(),
+    )
+
+    log: list[EpochRecord] = []
+    best_val = np.inf
+    stall = 0
+    stopped_early = False
+    last_good = (p, c)
+
+    for epoch in range(cfg.epochs_max):
+        lr, momentum = anneal(cfg, epoch)
+        chains.y = np.broadcast_to(c.c_y, (n_chains, M)).copy()
+        order = rng.permutation(tr.shape[0])
+        gw_norms = []
+        gu_norms = []
+        try:
+            for start in range(0, tr.shape[0], cfg.batch_size):
+                batch = tr[order[start:start + cfg.batch_size]]
+                mf = mean_field_data(batch, p, c, cfg)
+                data_stats = _batch_gradient_stats(batch, mf.y, mf.z, p, c)
+                for _ in range(cfg.gibbs_steps_per_batch):
+                    chains = gibbs_reference(chains, p, c, rng)
+                model_stats = _batch_gradient_stats(chains.x, chains.y, chains.z, p, c)
+                p, opt = _apply_updates(p, opt, data_stats, model_stats,
+                                        lr, momentum, cfg)
+                c, db_y, db_z = _update_offsets(c, mf.y.mean(axis=0),
+                                                mf.z.mean(axis=0),
+                                                batch.mean(axis=0),
+                                                p, cfg.offset_rate)
+                p = replace(p, b_y=p.b_y + db_y, b_z=p.b_z + db_z)
+                # Smooth the persistent hidden-1 state to its conditional
+                # probabilities before the next batch.
+                chains.y = _cond_hidden1(chains.x, chains.z, p, c)
+                gw_norms.append(float(np.linalg.norm(data_stats.dW - model_stats.dW)))
+                gu_norms.append(float(np.linalg.norm(data_stats.dU - model_stats.dU)))
+            err = _reconstruction_error(p, c, val)
+            if not np.isfinite(err):
+                raise NumericError("validation reconstruction error is not finite")
+        except NumericError as exc:
+            raise TrainingDiverged(
+                f"training diverged in epoch {epoch}: {exc}",
+                params=last_good[0], offsets=last_good[1], log=log) from exc
+
+        last_good = (p, c)
+        rec = EpochRecord(epoch=epoch, reconstruction_error=err,
+                          learning_rate=lr, momentum=momentum,
+                          grad_norm_W=float(np.mean(gw_norms)) if gw_norms else 0.0,
+                          grad_norm_U=float(np.mean(gu_norms)) if gu_norms else 0.0,
+                          mean_sigma=float(np.mean(np.sqrt(p.sigma2))))
+        log.append(rec)
+        if progress is not None:
+            progress(rec, p, c, log)
+
+        if err < best_val - 1e-12:
+            best_val = err
+            stall = 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                stopped_early = True
+                break
+
+    return TrainResult(params=p, offsets=c, log=log, stopped_early=stopped_early)

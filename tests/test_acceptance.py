@@ -7,7 +7,10 @@ everything else finishes in seconds.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -306,3 +309,41 @@ def test_a10_bit_identical_reruns(tmp_path):
     changed = [name for name in first if first[name] != second[name]]
     assert not changed, f"artifacts changed across rerun: {changed}"
     ok("a10", f"{len(first)} artifacts byte-identical across a full rerun")
+
+
+def test_a10b_artifacts_independent_of_blas_threads(tmp_path):
+    # The tiny a10 run at desk dims: at its own 20/12/4 dims OpenBLAS
+    # never starts a second thread, so it could not tell the difference.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, img in enumerate(make_corpus(4, 64, seed=5)):
+        write_pgm(corpus / f"img_{i}.pgm", img, maxval=65535)
+    text = TINY_CFG.format(corpus=corpus)
+    for old, new in (("patch_side = 6", "patch_side = 12"),
+                     ("n_patches = 800", "n_patches = 2000"),
+                     ("pca_k = 20", "pca_k = 100"),
+                     ("L = 20\nM = 12\nN = 4", "L = 100\nM = 64\nN = 16"),
+                     ("batch_size = 60", "batch_size = 100"),
+                     ("threshold_n = 12", "threshold_n = 64")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    src = str(REPO / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run_all(threads: str) -> dict[str, bytes]:
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, PYTHONPATH=pythonpath,
+                   OPENBLAS_NUM_THREADS=threads)
+        for step in ("prepare", "train", "sample", "analyze"):
+            subprocess.run([sys.executable, "-m", "cgdbm.cli", step,
+                            "--config", str(cfg_path), "--out-dir", str(out)],
+                           env=env, check=True, capture_output=True)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    one, two = run_all("1"), run_all("2")
+    assert one.keys() == two.keys()
+    changed = [name for name in one if one[name] != two[name]]
+    assert not changed, f"artifacts differ between 1 and 2 BLAS threads: {changed}"
+    ok("a10b", f"{len(one)} artifacts byte-identical under 1 and 2 BLAS threads")

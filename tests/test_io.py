@@ -1,6 +1,7 @@
 """Round-trips and corruption detection for the binary containers."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_matrix_round_trip_with_meta(rng, tmp_path):
     np.testing.assert_array_equal(a, b)
     assert meta["kind"] == "frames"
     assert meta["alpha"] == "0.01"
+
+
+def test_matrix_load_holds_the_payload_once(tmp_path):
+    # a desk-sized training set: 18000 x 100 float64, 14.4 MB
+    a = np.arange(18000 * 100, dtype=np.float64).reshape(18000, 100)
+    path = tmp_path / "x.cgmat"
+    save_matrix(path, a)
+    tracemalloc.start()
+    try:
+        b, _ = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(a, b)
+    assert peak < 1.1 * a.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_matrix_golden_bytes(tmp_path):

@@ -14,7 +14,7 @@ from cgdbm.sampling import (
     run_spontaneous_session,
 )
 from cgdbm.training import TrainConfig, mean_field_data
-from oracles import random_model
+from oracles import random_model, session_reference
 
 
 class TestSessionConfig:
@@ -38,6 +38,17 @@ class TestSpontaneousSession:
         a = run_spontaneous_session(p, c, np.full(3, 0.3), cfg)
         b = run_spontaneous_session(p, c, np.full(3, 0.3), cfg)
         np.testing.assert_array_equal(a, b)
+
+    def test_frames_equal_reference_sweep(self, rng):
+        # the in-place sweep draws and computes exactly what the
+        # allocating one does
+        p, c = random_model(rng, 4, 5, 3)
+        p_init = rng.uniform(0.1, 0.9, 5)
+        cfg = SessionConfig(n_chains=6, n_iterations=30, record_every=5, seed=8)
+        np.testing.assert_array_equal(
+            run_spontaneous_session(p, c, p_init, cfg),
+            session_reference(p, c, p_init, cfg.n_chains, cfg.n_iterations,
+                              cfg.record_every, cfg.seed))
 
     def test_seed_changes_frames(self, rng):
         p, c = random_model(rng, 2, 3, 2)

@@ -1,11 +1,16 @@
 """Training-loop components against exact oracles and hand-built cases."""
 
+import sys
+import threading
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from cgdbm.errors import ConfigError, ShapeError
+import cgdbm.training
+from cgdbm.errors import ConfigError, NumericError, ShapeError
 from cgdbm.exact import brute_force_hidden_marginal, log_likelihood
-from cgdbm.model import ModelParams, Offsets, cond_hidden1, cond_visible
+from cgdbm.model import ModelParams, Offsets, cond_hidden1, cond_visible, sigmoid
 from cgdbm.training import (
     GradientStats,
     OptimizerState,
@@ -22,7 +27,7 @@ from cgdbm.training import (
     train,
     update_offsets,
 )
-from oracles import fd_gradients, random_model, total_variation
+from oracles import fd_gradients, random_model, total_variation, train_reference
 
 
 def sample_exact(p, c, n, rng):
@@ -176,55 +181,64 @@ class TestGibbsStep:
 
 
 class TestApplyUpdates:
-    def make_zero_stats(self, dims):
-        L, M, N = dims
-        return GradientStats(dW=np.zeros((L, M)), dU=np.zeros((M, N)),
-                             db_y=np.zeros(M), db_z=np.zeros(N),
-                             dsigma=np.zeros(L))
-
+    # apply_updates works in place on the params and velocities and
+    # consumes the gradient it is given.
     def test_velocity_decays_geometrically(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         dims = (2, 3, 2)
         opt = OptimizerState.zeros(dims)
         opt.vW += 0.04
         opt.vsigma += 0.02
-        zero = self.make_zero_stats(dims)
         cfg = TrainConfig()
-        p1, opt1 = apply_updates(p, opt, zero, zero, lr=0.1, momentum=0.5, cfg=cfg)
-        np.testing.assert_array_equal(opt1.vW, np.full((2, 3), 0.02))
-        np.testing.assert_array_equal(opt1.vsigma, np.full(2, 0.01))
-        p2, opt2 = apply_updates(p1, opt1, zero, zero, lr=0.1, momentum=0.5, cfg=cfg)
-        np.testing.assert_array_equal(opt2.vW, np.full((2, 3), 0.01))
+        apply_updates(p, opt, GradientStats.zeros(dims), lr=0.1, momentum=0.5,
+                      cfg=cfg)
+        np.testing.assert_array_equal(opt.vW, np.full((2, 3), 0.02))
+        np.testing.assert_array_equal(opt.vsigma, np.full(2, 0.01))
+        apply_updates(p, opt, GradientStats.zeros(dims), lr=0.1, momentum=0.5,
+                      cfg=cfg)
+        np.testing.assert_array_equal(opt.vW, np.full((2, 3), 0.01))
 
     def test_plain_step_without_momentum(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         dims = (2, 3, 2)
-        zero = self.make_zero_stats(dims)
+        b_y = p.b_y.copy()
+        grad = GradientStats.zeros(dims)
         v = np.array([0.3, -0.2, 0.5])
-        data = GradientStats(dW=zero.dW, dU=zero.dU, db_y=v,
-                             db_z=zero.db_z, dsigma=zero.dsigma)
-        p1, _ = apply_updates(p, OptimizerState.zeros(dims), data, zero,
-                              lr=1.0, momentum=0.0, cfg=TrainConfig())
-        np.testing.assert_allclose(p1.b_y, p.b_y + v, atol=1e-15)
+        grad.db_y[:] = v
+        apply_updates(p, OptimizerState.zeros(dims), grad, lr=1.0,
+                      momentum=0.0, cfg=TrainConfig())
+        np.testing.assert_allclose(p.b_y, b_y + v, atol=1e-15)
 
     def test_sigma_step_clipped_and_floored(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         dims = (2, 3, 2)
-        zero = self.make_zero_stats(dims)
-        data = GradientStats(dW=zero.dW, dU=zero.dU, db_y=zero.db_y,
-                             db_z=zero.db_z, dsigma=np.array([500.0, -500.0]))
+        sigma2 = p.sigma2.copy()
+
+        def grad():
+            g = GradientStats.zeros(dims)
+            g.dsigma[:] = [500.0, -500.0]
+            return g
+
         cfg = TrainConfig()
-        p1, opt1 = apply_updates(p, OptimizerState.zeros(dims), data, zero,
-                                 lr=1.0, momentum=0.0, cfg=cfg)
-        step = np.sqrt(p1.sigma2) - np.sqrt(p.sigma2)
+        apply_updates(p, OptimizerState.zeros(dims), grad(), lr=1.0,
+                      momentum=0.0, cfg=cfg)
+        step = np.sqrt(p.sigma2) - np.sqrt(sigma2)
         assert step[0] == pytest.approx(cfg.sigma_step_clip, abs=1e-12)
-        assert np.sqrt(p1.sigma2[1]) >= np.sqrt(p.sigma2[1]) - cfg.sigma_step_clip - 1e-12
+        assert np.sqrt(p.sigma2[1]) >= np.sqrt(sigma2[1]) - cfg.sigma_step_clip - 1e-12
         # Drive sigma into the floor.
         pf = ModelParams(W=p.W, U=p.U, b_y=p.b_y, b_z=p.b_z,
                          sigma2=np.full(2, 1.2e-4))
-        p2, _ = apply_updates(pf, OptimizerState.zeros(dims), data, zero,
-                              lr=1.0, momentum=0.0, cfg=cfg)
-        assert p2.sigma2[1] == pytest.approx(1e-4, abs=1e-18)
+        apply_updates(pf, OptimizerState.zeros(dims), grad(), lr=1.0,
+                      momentum=0.0, cfg=cfg)
+        assert pf.sigma2[1] == pytest.approx(1e-4, abs=1e-18)
+
+    def test_non_finite_update_raises(self, rng):
+        p, c = random_model(rng, 2, 3, 2)
+        grad = GradientStats.zeros((2, 3, 2))
+        grad.dU[0, 0] = np.inf
+        with pytest.raises(NumericError, match="U"):
+            apply_updates(p, OptimizerState.zeros((2, 3, 2)), grad, lr=1.0,
+                          momentum=0.0, cfg=TrainConfig())
 
 
 class TestUpdateOffsets:
@@ -356,6 +370,203 @@ class TestTrain:
             if ll_after > ll_before:
                 wins += 1
         assert wins >= 8
+
+
+def state_arrays(p, c):
+    return (p.W, p.U, p.b_y, p.b_z, p.sigma2, c.c_x, c.c_y, c.c_z)
+
+
+def assert_same_state(got, want):
+    for a, b in zip(state_arrays(*got), state_arrays(*want)):
+        np.testing.assert_array_equal(a, b)
+
+
+def assert_same_log(got, want):
+    assert len(got) == len(want)
+    np.testing.assert_array_equal([astuple(r) for r in got],
+                                  [astuple(r) for r in want])
+
+
+def mean_field_damps(x, p, c, cfg):
+    """Whether mean_field_data's damping starts on this batch: the
+    undamped iterates' residual grows before it reaches the tolerance."""
+    bottom_up = ((x - c.c_x) / p.sigma2) @ p.W + p.b_y
+    z = np.broadcast_to(c.c_z, (x.shape[0], c.c_z.shape[0]))
+    y = None
+    prev = np.inf
+    for _ in range(cfg.mean_field_max_iters):
+        y_new = sigmoid(bottom_up + (z - c.c_z) @ p.U.T)
+        z_new = sigmoid((y_new - c.c_y) @ p.U + p.b_z)
+        if y is not None:
+            residual = max(np.abs(y_new - y).max(), np.abs(z_new - z).max())
+            if residual <= cfg.mean_field_tol:
+                return False
+            if residual > prev:
+                return True
+            prev = residual
+        y, z = y_new, z_new
+    return False
+
+
+@pytest.fixture(params=["thread", "inline"])
+def data_phase_on(request, monkeypatch):
+    """Run train()'s data phase on the worker thread or in line, whatever
+    the model size."""
+    monkeypatch.setattr(cgdbm.training, "OVERLAP_MIN_MULTIPLY_ADDS",
+                        0 if request.param == "thread" else np.inf)
+    return request.param
+
+
+# Diverges in epoch 8, after eight finished epochs.
+DIVERGING = TrainConfig(epochs_max=50, batch_size=20,
+                        learning_rate_start=2e5, learning_rate_end=2e5,
+                        momentum_start=0.0, momentum_end=0.0, seed=3)
+
+
+@pytest.mark.usefixtures("data_phase_on")
+class TestTrainMatchesReference:
+    """train() (in-place buffers, data phase on the worker thread or in
+    line) against the allocating single-threaded loop, bit for bit."""
+
+    def check(self, data, dims, cfg):
+        want = train_reference(data, dims, cfg)
+        got = train(data, dims, cfg)
+        assert_same_state((got.params, got.offsets), (want.params, want.offsets))
+        assert_same_log(got.log, want.log)
+        assert got.stopped_early == want.stopped_early
+        return got
+
+    def test_uneven_last_batch(self, rng, monkeypatch, data_phase_on):
+        data = rng.standard_normal((97, 3))
+        cfg = TrainConfig(epochs_max=4, batch_size=20, seed=7)
+        threads = set()
+        original = cgdbm.training.mean_field_data
+
+        def watched(*args):
+            threads.add(threading.current_thread())
+            return original(*args)
+
+        monkeypatch.setattr(cgdbm.training, "mean_field_data", watched)
+        # 10 validation rows leave 87: four batches of 20 and one of 7
+        res = self.check(data, (3, 5, 2), cfg)
+        assert len(res.log) == 4
+        assert (threading.main_thread() in threads) == (data_phase_on == "inline")
+        assert len(threads) == 1
+
+    def test_mean_field_damping(self, monkeypatch):
+        # Found by a random search over small runs: with a large rate and
+        # momentum, the mean field of one batch starts damping.  The
+        # draws below reproduce that case's data.
+        rng = np.random.default_rng(170)
+        lr = float(np.exp(rng.uniform(np.log(0.03), np.log(3))))
+        momentum = float(rng.uniform(0, 0.9))
+        rng.integers(1, 5), rng.integers(1, 6), rng.integers(1, 6)
+        data = rng.standard_normal((60, 2)) * rng.uniform(0.5, 5)
+        cfg = TrainConfig(epochs_max=15, batch_size=20, seed=170,
+                          learning_rate_start=lr, learning_rate_end=lr,
+                          momentum_start=momentum, momentum_end=momentum,
+                          patience=100)
+        damped = []
+        original = cgdbm.training.mean_field_data
+
+        def watched(x, p, c, cfg):
+            damped.append(mean_field_damps(x, p, c, cfg))
+            return original(x, p, c, cfg)
+
+        monkeypatch.setattr(cgdbm.training, "mean_field_data", watched)
+        self.check(data, (2, 5, 2), cfg)
+        assert any(damped)
+
+    def test_early_stopping(self, rng):
+        data = np.tile(np.array([0.5, -0.25]), (40, 1))
+        data = data + rng.standard_normal((40, 2)) * 1e-9
+        cfg = TrainConfig(epochs_max=200, batch_size=10, patience=3,
+                          learning_rate_start=1e-6, learning_rate_end=1e-6,
+                          seed=5)
+        assert self.check(data, (2, 3, 2), cfg).stopped_early
+
+    def test_divergence(self, rng):
+        data = rng.standard_normal((60, 3)) * 50.0
+        with pytest.raises(TrainingDiverged) as want:
+            train_reference(data, (3, 4, 2), DIVERGING)
+        with pytest.raises(TrainingDiverged) as got:
+            train(data, (3, 4, 2), DIVERGING)
+        assert str(got.value) == str(want.value)
+        assert_same_state((got.value.params, got.value.offsets),
+                          (want.value.params, want.value.offsets))
+        assert_same_log(got.value.log, want.value.log)
+
+
+    def test_concurrent_runs_with_fast_thread_switching(self, rng):
+        # three runs at once (six threads on the cores) with the
+        # interpreter switching threads every 10 us: a data phase that
+        # read parameters the main thread was updating would show here
+        data = rng.standard_normal((97, 3))
+        cfgs = [TrainConfig(epochs_max=3, batch_size=20, seed=s) for s in (1, 2, 3)]
+        results = {}
+
+        def run(cfg):
+            results[cfg.seed] = train(data, (3, 5, 2), cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(cfg,)) for cfg in cfgs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for cfg in cfgs:
+            want = train_reference(data, (3, 5, 2), cfg)
+            got = results[cfg.seed]
+            assert_same_state((got.params, got.offsets),
+                              (want.params, want.offsets))
+            assert_same_log(got.log, want.log)
+
+
+@pytest.mark.usefixtures("data_phase_on")
+class TestTrainBuffers:
+    """train() updates its arrays in place; none of them may leak out."""
+
+    def test_progress_snapshots_stay_unchanged(self, rng, monkeypatch):
+        data = rng.standard_normal((80, 3))
+        cfg = TrainConfig(epochs_max=4, batch_size=20, seed=7)
+        seen, copies = [], []
+
+        def progress(rec, p, c, log):
+            seen.append((p, c))
+            copies.append(tuple(a.copy() for a in state_arrays(p, c)))
+
+        buffers = []
+        original = cgdbm.training.gibbs_model_step
+
+        def watched(chains, p, c, rng, work=None):
+            if not buffers:
+                buffers.extend(state_arrays(p, c))
+            return original(chains, p, c, rng, work)
+
+        monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
+        res = train(data, (3, 4, 2), cfg, progress=progress)
+        assert len(seen) == 4
+        for (p, c), copy in zip(seen, copies):
+            for a, b in zip(state_arrays(p, c), copy):
+                np.testing.assert_array_equal(a, b)
+        assert_same_state((res.params, res.offsets), seen[-1])
+        for a in state_arrays(res.params, res.offsets):
+            assert not any(np.shares_memory(a, b) for b in buffers)
+
+    def test_divergence_carries_last_progress_snapshot(self, rng):
+        data = rng.standard_normal((60, 3)) * 50.0
+        seen = []
+        with pytest.raises(TrainingDiverged) as exc_info:
+            train(data, (3, 4, 2), DIVERGING,
+                  progress=lambda rec, p, c, log: seen.append((p, c)))
+        exc = exc_info.value
+        assert len(seen) == len(exc.log) == 8
+        assert_same_state((exc.params, exc.offsets), seen[-1])
 
 
 class TestConfigValidation:
