@@ -23,8 +23,8 @@ from .analysis import analyze
 from .config import RunConfig, load_config, stage_seed, with_stage_seeds
 from .errors import (ConfigError, DomainError, FormatError, NumericError,
                      ShapeError)
-from .io import (format_float, load_matrix, load_model, save_matrix,
-                 save_model, write_csv)
+from .io import (format_float, load_matrix, load_model, open_atomic,
+                 save_matrix, save_model, write_csv)
 from .sampling import average_initial_probability, run_spontaneous_session
 from .stimuli import (extract_patches, fit_whitener, load_grayscale_images,
                       load_whitener, mean_centered_norm, save_whitener, whiten)
@@ -208,7 +208,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                      labels=[f"y{j}" for j in top],
                      title="most active filters")
 
-    (out_dir / "summary.txt").write_text("\n".join(res.summary) + "\n")
+    with open_atomic(out_dir / "summary.txt") as fh:
+        fh.write("\n".join(res.summary) + "\n")
     for line in res.summary:
         print(f"analyze: {line}")
     return 0
@@ -242,7 +243,8 @@ def cmd_report(out_dir: Path) -> int:
                                               ".pgm", ".svg", ".txt"):
             lines.append(f"{path.name} bytes={path.stat().st_size}")
     text = "\n".join(lines) + "\n"
-    (out_dir / "report.txt").write_text(text)
+    with open_atomic(out_dir / "report.txt") as fh:
+        fh.write(text)
     print(text, end="")
     return 0
 

@@ -11,13 +11,17 @@ with free-form metadata keys.  Version-1 files (CRC-64 trailer) and
 version-2 files (digest of the payload only) are rejected as bad magic.
 
 Writers emit headers in sorted key order and never include timestamps, so
-rewriting the same content produces byte-identical files.
+rewriting the same content produces byte-identical files.  Every artifact
+writer goes through `open_atomic`: it writes ``<name>.tmp`` beside the
+target and renames it into place, so a write that fails midway leaves
+the previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -26,6 +30,23 @@ from .model import ModelParams, Offsets
 
 MODEL_MAGIC = b"CGDBM3\n"
 MATRIX_MAGIC = b"CGMAT3\n"
+
+
+@contextmanager
+def open_atomic(path, mode: str = "w", **kwargs):
+    """Open ``<path>.tmp`` for writing with a plain open (so it gets the
+    permissions any new file gets) and, once the block succeeds, rename
+    it onto path with os.replace.  If the block raises, the temporary
+    file is removed and path is left as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_framed(path, magic: bytes, header: dict[str, str],
@@ -42,7 +63,7 @@ def _write_framed(path, magic: bytes, header: dict[str, str],
     # never copied to sit next to the header
     digest = hashlib.blake2b(head, digest_size=8)
     digest.update(payload)
-    with open(path, "wb") as fh:
+    with open_atomic(path, "wb") as fh:
         fh.write(head)
         fh.write(payload)
         fh.write(digest.digest())
@@ -218,7 +239,7 @@ def write_pgm(path, image, maxval: int = 255) -> None:
         raise ValueError("maxval out of range")
     q = np.rint(np.clip(img, 0.0, 1.0) * maxval)
     dtype = ">u2" if maxval > 255 else "u1"
-    with open(path, "wb") as fh:
+    with open_atomic(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii"))
         fh.write(q.astype(dtype).tobytes())
 
@@ -231,7 +252,7 @@ def format_float(x: float) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open_atomic(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             cells = [cell if isinstance(cell, str) else format_float(cell)

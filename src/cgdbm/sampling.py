@@ -5,6 +5,10 @@ start and records, every few sweeps, the hidden-1 conditional probability
 vector of each chain.  Those probability vectors are the "frames" all the
 downstream correlation analysis works on; matched Bernoulli noise frames
 serve as the control.
+
+The random numbers of each recording interval are drawn one interval
+ahead on a worker thread (`training.noise_blocks`) while the main thread
+sweeps; the draws and their order are those of one sweep at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import ModelParams, Offsets, Workspace, check_dims, cond_hidden1
-from .training import PersistentChains, TrainConfig, gibbs_model_step, mean_field_data
+from .training import (GibbsNoise, PersistentChains, TrainConfig,
+                       gibbs_model_step, mean_field_data, noise_blocks)
 
 
 @dataclass(frozen=True)
@@ -79,16 +84,20 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
         z=np.broadcast_to(c.c_z, (cfg.n_chains, N)).copy(),
     )
     work = Workspace.empty(cfg.n_chains, (L, M, N))
+    buffers = (GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N)),
+               GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N)))
     n_records = cfg.n_iterations // cfg.record_every
     frames = np.empty((n_records * cfg.n_chains, M))
-    rec = 0
-    for sweep in range(1, cfg.n_iterations + 1):
-        gibbs_model_step(chains, p, c, rng, work)
-        if sweep % cfg.record_every == 0:
-            # Same x and z the sweep's y was drawn from.
+    # imported here: it costs the other stages' processes 0.6 MB
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for rec, noise in enumerate(noise_blocks(rng, worker, buffers,
+                                                 n_records)):
+            for sweep in range(cfg.record_every):
+                gibbs_model_step(chains, p, c, noise, sweep, work)
+            # Same x and z the last sweep's y was drawn from.
             cond_hidden1(chains.x, chains.z, p, c, work=work,
                          out=frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains])
-            rec += 1
     return frames
 
 

@@ -7,11 +7,17 @@ centering offsets follow moving averages of the batch activities with a
 compensating bias shift that leaves the represented distribution over the
 hidden layers unchanged.
 
-The two halves of a batch do not depend on each other: the data term
-draws no random numbers, so for large models `train` runs it on a worker
-thread while the main thread advances the chains, and then applies the
-update.  `train` owns one set of parameter, offset, chain, gradient and
-velocity arrays and updates them in place.
+The random numbers of the chains depend on nothing a sweep computes, so
+`train` draws each batch's block of them (`GibbsNoise`) one batch ahead
+on a worker thread while the main thread sweeps through the block before
+(`noise_blocks`); the sweeps only read their slice of a block.  The two
+halves of a batch do not depend on each other either: the data term
+draws no random numbers, so for large models the same worker also runs
+it while the main thread advances the chains, and then the main thread
+applies the update.  Every draw still comes from the one generator in
+the order a one-thread loop takes them.  `train` owns one set of
+parameter, offset, chain, gradient and velocity arrays and updates them
+in place.
 
 Conventions fixed here:
   - the sigma gradient acts on the standard deviations, with its own
@@ -25,7 +31,6 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -268,26 +273,71 @@ def mean_field_data(x_batch, p: ModelParams, c: Offsets,
                           converged=residual <= cfg.mean_field_tol)
 
 
+@dataclass(frozen=True)
+class GibbsNoise:
+    """The random numbers of `sweeps` Gibbs sweeps of n chains, indexed
+    by sweep: z uniforms (sweeps, n, N), x standard normals (sweeps, n, L)
+    and y uniforms (sweeps, n, M)."""
+
+    z: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def empty(cls, sweeps: int, n: int, dims: tuple[int, int, int]) -> "GibbsNoise":
+        L, M, N = dims
+        return cls(z=np.empty((sweeps, n, N)), x=np.empty((sweeps, n, L)),
+                   y=np.empty((sweeps, n, M)))
+
+    def fill(self, rng: np.random.Generator) -> "GibbsNoise":
+        """Draw the block from rng sweep by sweep, z then x then y, as
+        one sweep at a time would; returns self."""
+        for z, x, y in zip(self.z, self.x, self.y):
+            rng.random(out=z)
+            rng.standard_normal(out=x)
+            rng.random(out=y)
+        return self
+
+
+def noise_blocks(rng: np.random.Generator, worker, buffers, count: int):
+    """Yield `count` (at least one) consecutive blocks of Gibbs noise
+    from rng.  Block k+1 is drawn on `worker` (an executor) while the
+    caller sweeps through block k; `buffers` is a pair of equally shaped
+    GibbsNoise that alternate, so a block is valid until the next one is
+    taken.  Draws nothing past the count-th block, and waits for a
+    pending draw before it returns or is closed, so rng is free again
+    afterwards."""
+    pending = worker.submit(buffers[0].fill, rng)
+    try:
+        for k in range(count):
+            block = pending.result()
+            pending = (worker.submit(buffers[(k + 1) % 2].fill, rng)
+                       if k + 1 < count else None)
+            yield block
+    finally:
+        if pending is not None:
+            # only while unwinding: wait, without raising over the
+            # caller's exception
+            pending.exception()
+
+
 def gibbs_model_step(chains: PersistentChains, p: ModelParams, c: Offsets,
-                     rng: np.random.Generator,
+                     noise: GibbsNoise, sweep: int = 0,
                      work: Workspace | None = None) -> PersistentChains:
     """One Gibbs sweep of every chain, in place: top layer from y,
-    visibles from y, then y from the fresh x and z.  Draw order is fixed
-    (z, x, y) with all chains advanced together, so a given rng state
-    yields one result.  Each conditional is written into the chain array
-    its sample replaces, and the draws go through `work` (allocated if
-    not given), so a sweep allocates no batch-sized array.  Returns
-    chains."""
+    visibles from y, then y from the fresh x and z, with the random
+    numbers of `noise` at index `sweep`.  Each conditional is written
+    into the chain array its sample replaces, and the scaled normals go
+    through `work` (allocated if not given), so a sweep allocates no
+    batch-sized array.  Returns chains."""
     if work is None:
         work = Workspace.empty(chains.y.shape[0], p.dims)
     z_prob = cond_hidden2(chains.y, p, c, out=chains.z, work=work)
-    np.less(rng.random(out=work.z), z_prob, out=chains.z)
+    np.less(noise.z[sweep], z_prob, out=chains.z)
     means, variances = cond_visible(chains.y, p, c, out=chains.x, work=work)
-    noise = rng.standard_normal(out=work.x)
-    noise *= np.sqrt(variances)
-    means += noise
+    means += np.multiply(noise.x[sweep], np.sqrt(variances), out=work.x)
     y_prob = cond_hidden1(chains.x, chains.z, p, c, out=chains.y, work=work)
-    np.less(rng.random(out=work.y), y_prob, out=chains.y)
+    np.less(noise.y[sweep], y_prob, out=chains.y)
     return chains
 
 
@@ -474,10 +524,13 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
     last_good = _snapshot(p, c)
 
     overlap = cfg.batch_size * M * (L + N) >= OVERLAP_MIN_MULTIPLY_ADDS
-    if overlap:
-        # imported here: it costs the other stages' processes 0.6 MB
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as worker:
+    steps = cfg.gibbs_steps_per_batch
+    buffers = (GibbsNoise.empty(steps, n_chains, dims),
+               GibbsNoise.empty(steps, n_chains, dims))
+    n_batches = -(-tr.shape[0] // cfg.batch_size)
+    # imported here: it costs the other stages' processes 0.6 MB
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:
         for epoch in range(cfg.epochs_max):
             lr, momentum = anneal(cfg, epoch)
             chains.y[...] = c.c_y
@@ -485,13 +538,15 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
             gw_norms = []
             gu_norms = []
             try:
-                for start in range(0, tr.shape[0], cfg.batch_size):
+                for k, noise in enumerate(noise_blocks(rng, worker, buffers,
+                                                       n_batches)):
+                    start = k * cfg.batch_size
                     batch = tr[order[start:start + cfg.batch_size]]
                     if overlap:
                         data_phase = worker.submit(_data_phase, batch, p, c,
                                                    cfg, data_stats)
-                    for _ in range(cfg.gibbs_steps_per_batch):
-                        gibbs_model_step(chains, p, c, rng, work)
+                    for sweep in range(steps):
+                        gibbs_model_step(chains, p, c, noise, sweep, work)
                     batch_gradient_stats(chains.x, chains.y, chains.z, p, c,
                                          out=model_stats)
                     mean_y, mean_z, mean_x = (

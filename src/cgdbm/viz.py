@@ -7,12 +7,11 @@ from __future__ import annotations
 import base64
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
-from .io import write_pgm
+from .io import open_atomic, write_pgm
 
 
 def normalize_tile(img: np.ndarray) -> np.ndarray:
@@ -110,4 +109,5 @@ def save_svg_montage(path, tiles, cols: int, labels=None, title: str = "",
             lines.append(f'<text x="{x:.1f}" y="{y}" font-family="monospace" '
                          f'font-size="10" text-anchor="middle">{text}</text>')
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_atomic(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -33,6 +33,7 @@ from cgdbm.sampling import random_control_frames
 from cgdbm.stimuli import dewhiten, fit_whitener, whiten
 from cgdbm.synth import make_corpus
 from cgdbm.training import (
+    GibbsNoise,
     PersistentChains,
     batch_gradient_stats,
     gibbs_model_step,
@@ -117,8 +118,9 @@ def test_a03_gibbs_frequencies_match_enumerated_marginal():
         counts = np.zeros_like(table)
         pow_y = 2 ** np.arange(3)
         pow_z = 2 ** np.arange(2)
+        noise = GibbsNoise.empty(1, n_chains, (2, 3, 2))
         for s in range(burn + retain):
-            chains = gibbs_model_step(chains, p, c, rng)
+            chains = gibbs_model_step(chains, p, c, noise.fill(rng))
             if s >= burn:
                 iy = (chains.y @ pow_y).astype(int)
                 iz = (chains.z @ pow_z).astype(int)
@@ -235,6 +237,7 @@ def desk_runs(tmp_path_factory):
     return summaries, time.time() - t0
 
 
+@pytest.mark.slow
 def test_a08_desk_scale_pipeline(desk_runs):
     summaries, elapsed = desk_runs
     details, passing = [], 0
@@ -277,6 +280,7 @@ def test_a09a_som_ring_topology_and_quantization():
                f"{dec}/{pairs} epoch pairs (need >=90%)")
 
 
+@pytest.mark.slow
 def test_a09b_som_node_matches_orientation_map(desk_runs):
     summaries, _ = desk_runs
     counts = {seed: int(s["som_nodes_above_threshold"])

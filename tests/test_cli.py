@@ -105,6 +105,17 @@ def test_report_output(run_dir):
     assert "model.cgdbm" in text
 
 
+def test_report_never_lists_temporary_files(run_dir, tmp_path):
+    root, cfg, out = run_dir
+    assert not list(out.glob("*.tmp"))
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    # what an interrupted checkpoint write leaves behind
+    (copy / "checkpoint.cgdbm.tmp").write_bytes(b"CGDBM3\nL=")
+    assert main(["report", "--out-dir", str(copy)]) == 0
+    assert ".tmp" not in (copy / "report.txt").read_text()
+
+
 def test_reruns_are_bit_identical(run_dir, tmp_path):
     root, cfg, out = run_dir
     out2 = tmp_path / "again"

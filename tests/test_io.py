@@ -1,11 +1,13 @@
 """Round-trips and corruption detection for the binary containers."""
 
+import errno
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cgdbm.io
 from cgdbm.errors import FormatError
 from cgdbm.io import (format_float, load_matrix, load_model, read_pgm,
                       save_matrix, save_model, write_csv, write_pgm)
@@ -53,6 +55,49 @@ def test_model_truncation_detected(rng, tmp_path):
     path.write_bytes(raw[:-9])
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(rng, tmp_path,
+                                                         monkeypatch):
+    p, c = random_model(rng, 3, 4, 2)
+    path = tmp_path / "checkpoint.cgdbm"
+    save_model(path, p, c)
+    before = path.read_bytes()
+
+    class DiskFullAfterHeader:
+        """A file whose second write (the payload) fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(DiskFullAfterHeader(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(cgdbm.io, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_model(path, ModelParams(W=p.W + 1.0, U=p.U, b_y=p.b_y,
+                                     b_z=p.b_z, sigma2=p.sigma2), c)
+    monkeypatch.undo()
+    assert [f.writes for f in opened] == [2]
+    assert path.read_bytes() == before
+    np.testing.assert_array_equal(load_model(path)[0].W, p.W)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_model_wrong_magic_rejected(tmp_path):

@@ -1,6 +1,8 @@
 """Session mechanics: frame geometry, determinism, and agreement of the
 recorded probabilities with enumerated marginals on small models."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,15 +42,27 @@ class TestSpontaneousSession:
         np.testing.assert_array_equal(a, b)
 
     def test_frames_equal_reference_sweep(self, rng):
-        # the in-place sweep draws and computes exactly what the
-        # allocating one does
+        # the in-place sweep on noise drawn ahead computes exactly what
+        # the allocating one drawing as it goes does: with several
+        # recordings, a recording after every sweep, and one recording
         p, c = random_model(rng, 4, 5, 3)
         p_init = rng.uniform(0.1, 0.9, 5)
-        cfg = SessionConfig(n_chains=6, n_iterations=30, record_every=5, seed=8)
-        np.testing.assert_array_equal(
-            run_spontaneous_session(p, c, p_init, cfg),
-            session_reference(p, c, p_init, cfg.n_chains, cfg.n_iterations,
-                              cfg.record_every, cfg.seed))
+        for record_every in (5, 1, 30):
+            cfg = SessionConfig(n_chains=6, n_iterations=30,
+                                record_every=record_every, seed=8)
+            np.testing.assert_array_equal(
+                run_spontaneous_session(p, c, p_init, cfg),
+                session_reference(p, c, p_init, cfg.n_chains,
+                                  cfg.n_iterations, cfg.record_every,
+                                  cfg.seed))
+
+    def test_worker_thread_ends_with_the_session(self, rng):
+        p, c = random_model(rng, 2, 3, 2)
+        before = threading.active_count()
+        run_spontaneous_session(p, c, np.full(3, 0.5),
+                                SessionConfig(n_chains=4, n_iterations=20,
+                                              record_every=5, seed=3))
+        assert threading.active_count() == before
 
     def test_seed_changes_frames(self, rng):
         p, c = random_model(rng, 2, 3, 2)

@@ -2,6 +2,8 @@
 
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import numpy as np
@@ -12,6 +14,7 @@ from cgdbm.errors import ConfigError, NumericError, ShapeError
 from cgdbm.exact import brute_force_hidden_marginal, log_likelihood
 from cgdbm.model import ModelParams, Offsets, cond_hidden1, cond_visible, sigmoid
 from cgdbm.training import (
+    GibbsNoise,
     GradientStats,
     OptimizerState,
     PersistentChains,
@@ -23,6 +26,7 @@ from cgdbm.training import (
     gibbs_model_step,
     initialize,
     mean_field_data,
+    noise_blocks,
     reconstruction_error,
     train,
     update_offsets,
@@ -147,7 +151,8 @@ class TestGibbsStep:
         n = 40000
         chains = PersistentChains(
             x=np.zeros((n, 2)), y=np.tile(y, (n, 1)), z=np.zeros((n, 2)))
-        out = gibbs_model_step(chains, p, c, rng)
+        out = gibbs_model_step(chains, p, c,
+                               GibbsNoise.empty(1, n, (2, 3, 2)).fill(rng))
         from cgdbm.model import cond_hidden2
         pz = cond_hidden2(y, p, c)
         for k in range(2):
@@ -170,14 +175,79 @@ class TestGibbsStep:
         counts = np.zeros_like(table)
         pow_y = 2 ** np.arange(2)
         pow_z = 2 ** np.arange(2)
+        noise = GibbsNoise.empty(1, n_chains, (2, 2, 2))
         for s in range(sweeps):
-            chains = gibbs_model_step(chains, p, c, rng)
+            chains = gibbs_model_step(chains, p, c, noise.fill(rng))
             if s >= burn:
                 iy = (chains.y @ pow_y).astype(int)
                 iz = (chains.z @ pow_z).astype(int)
                 np.add.at(counts, (iy, iz), 1.0)
         freq = counts / counts.sum()
         assert total_variation(freq, table) <= 0.02
+
+
+class TestNoiseBlocks:
+    DIMS = (4, 3, 2)
+
+    @staticmethod
+    def sweep_draws(rng, n, dims):
+        """One sweep's draws, made the way the sweep used to make them."""
+        L, M, N = dims
+        return (rng.random((n, N)), rng.standard_normal((n, L)),
+                rng.random((n, M)))
+
+    def blocks(self, rng, count, taken=None):
+        """Copies of the blocks noise_blocks yields, closing it after
+        `taken` of them; returns them and rng's state right after."""
+        buffers = (GibbsNoise.empty(3, 5, self.DIMS),
+                   GibbsNoise.empty(3, 5, self.DIMS))
+        got = []
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            blocks = noise_blocks(rng, worker, buffers, count)
+            for block in blocks:
+                got.append(tuple(a.copy() for a in (block.z, block.x, block.y)))
+                if len(got) == taken:
+                    blocks.close()
+                    break
+            state = rng.bit_generator.state
+        return got, state
+
+    def test_blocks_equal_per_sweep_draws(self):
+        got, state = self.blocks(np.random.default_rng(12), count=4)
+        ref = np.random.default_rng(12)
+        assert len(got) == 4
+        for z, x, y in got:
+            for sweep in range(3):
+                want = self.sweep_draws(ref, 5, self.DIMS)
+                for a, b in zip((z[sweep], x[sweep], y[sweep]), want):
+                    np.testing.assert_array_equal(a, b)
+        assert state == ref.bit_generator.state
+
+    def test_closing_early_waits_for_the_pending_draw(self):
+        # one block taken while the next one draws slowly: closing the
+        # helper returns only once that draw is done, and draws no more
+        class SlowAfterFirstBlock:
+            def __init__(self, rng):
+                self.rng = rng
+                self.bit_generator = rng.bit_generator
+                self.uniform_calls = 0
+
+            def random(self, out):
+                self.uniform_calls += 1
+                if self.uniform_calls > 2 * 3:
+                    time.sleep(0.05)
+                return self.rng.random(out=out)
+
+            def standard_normal(self, out):
+                return self.rng.standard_normal(out=out)
+
+        got, state = self.blocks(
+            SlowAfterFirstBlock(np.random.default_rng(5)), count=4, taken=1)
+        ref = np.random.default_rng(5)
+        for _ in range(2 * 3):
+            self.sweep_draws(ref, 5, self.DIMS)
+        assert len(got) == 1
+        assert state == ref.bit_generator.state
 
 
 class TestApplyUpdates:
@@ -430,7 +500,10 @@ class TestTrainMatchesReference:
 
     def check(self, data, dims, cfg):
         want = train_reference(data, dims, cfg)
+        threads = threading.active_count()
         got = train(data, dims, cfg)
+        # the worker thread ends with train, early stop or not
+        assert threading.active_count() == threads
         assert_same_state((got.params, got.offsets), (want.params, want.offsets))
         assert_same_log(got.log, want.log)
         assert got.stopped_early == want.stopped_early
@@ -476,6 +549,19 @@ class TestTrainMatchesReference:
         monkeypatch.setattr(cgdbm.training, "mean_field_data", watched)
         self.check(data, (2, 5, 2), cfg)
         assert any(damped)
+
+    def test_one_batch_per_epoch(self, rng):
+        # 45 training rows fit one batch, so each epoch's permutation is
+        # drawn right after the previous epoch's only block
+        data = rng.standard_normal((50, 3))
+        cfg = TrainConfig(epochs_max=5, batch_size=60, seed=9)
+        assert len(self.check(data, (3, 4, 2), cfg).log) == 5
+
+    def test_one_gibbs_step_per_batch(self, rng):
+        data = rng.standard_normal((97, 3))
+        cfg = TrainConfig(epochs_max=4, batch_size=20, seed=4,
+                          gibbs_steps_per_batch=1)
+        assert len(self.check(data, (3, 5, 2), cfg).log) == 4
 
     def test_early_stopping(self, rng):
         data = np.tile(np.array([0.5, -0.25]), (40, 1))
@@ -543,10 +629,10 @@ class TestTrainBuffers:
         buffers = []
         original = cgdbm.training.gibbs_model_step
 
-        def watched(chains, p, c, rng, work=None):
+        def watched(chains, p, c, noise, sweep=0, work=None):
             if not buffers:
                 buffers.extend(state_arrays(p, c))
-            return original(chains, p, c, rng, work)
+            return original(chains, p, c, noise, sweep, work)
 
         monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
         res = train(data, (3, 4, 2), cfg, progress=progress)
@@ -567,6 +653,27 @@ class TestTrainBuffers:
         exc = exc_info.value
         assert len(seen) == len(exc.log) == 8
         assert_same_state((exc.params, exc.offsets), seen[-1])
+
+
+@pytest.mark.usefixtures("data_phase_on")
+class TestWorkerThread:
+    """train() leaves no thread behind when it raises."""
+
+    def test_divergence_with_a_block_pending(self, rng, monkeypatch):
+        # the update of the first of five batches fails after the
+        # second batch's block was handed to the worker
+        original = cgdbm.training.apply_updates
+
+        def failing(*args):
+            original(*args)
+            raise NumericError("injected")
+
+        monkeypatch.setattr(cgdbm.training, "apply_updates", failing)
+        before = threading.active_count()
+        with pytest.raises(TrainingDiverged, match="epoch 0: injected"):
+            train(rng.standard_normal((90, 3)), (3, 4, 2),
+                  TrainConfig(epochs_max=2, batch_size=20, seed=7))
+        assert threading.active_count() == before
 
 
 class TestConfigValidation:
