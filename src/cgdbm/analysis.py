@@ -163,32 +163,9 @@ def correlate(frames, map_set: OrientationMapSet,
 # --- self-organizing map ----------------------------------------------------
 
 @dataclass(frozen=True)
-class SomConfig:
-    n_nodes: int = 40
-    n_epochs: int = 20
-    lr_start: float = 0.5
-    lr_end: float = 0.01
-    radius_start: float = 10.0
-    radius_end: float = 1.0
-    seed: int = 0
-
-    def validate(self) -> "SomConfig":
-        if self.n_nodes < 2:
-            raise ConfigError("need at least 2 nodes")
-        if self.n_epochs < 1:
-            raise ConfigError("need at least 1 epoch")
-        if self.lr_start <= 0 or self.lr_end <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.radius_start <= 0 or self.radius_end <= 0:
-            raise ConfigError("radii must be positive")
-        return self
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
     alpha: float = 0.01
     threshold_n: int = 200
-    n_control: int = 0  # 0 means: match the spontaneous frame count
     som_nodes: int = 40
     som_epochs: int = 20
     som_lr_start: float = 0.5
@@ -204,21 +181,19 @@ class AnalysisConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if self.threshold_n < 4:
             raise ConfigError("threshold_n must be at least 4")
-        if self.n_control < 0:
-            raise ConfigError("n_control must be non-negative")
         if self.orientation_count < 2 or self.orientation_count % 2 != 0:
             raise ConfigError("orientation_count must be even and >= 2")
         if self.grating_frequency_count < 1 or self.grating_phase_count < 1:
             raise ConfigError("grating grid counts must be positive")
-        self.som_config(seed=0)  # reuse SomConfig validation
+        if self.som_nodes < 2:
+            raise ConfigError("need at least 2 nodes")
+        if self.som_epochs < 1:
+            raise ConfigError("need at least 1 epoch")
+        if self.som_lr_start <= 0 or self.som_lr_end <= 0:
+            raise ConfigError("learning rates must be positive")
+        if self.som_radius_start <= 0 or self.som_radius_end <= 0:
+            raise ConfigError("radii must be positive")
         return self
-
-    def som_config(self, seed: int) -> SomConfig:
-        return SomConfig(n_nodes=self.som_nodes, n_epochs=self.som_epochs,
-                         lr_start=self.som_lr_start, lr_end=self.som_lr_end,
-                         radius_start=self.som_radius_start,
-                         radius_end=self.som_radius_end,
-                         seed=seed).validate()
 
     def orientations(self) -> np.ndarray:
         return np.arange(self.orientation_count) * (180.0 / self.orientation_count)
@@ -249,8 +224,9 @@ def quantization_error(nodes: np.ndarray, frames: np.ndarray) -> float:
     return float(np.mean(np.sqrt(np.maximum(d2.min(axis=1), 0.0))))
 
 
-def train_som(frames, cfg: SomConfig = SomConfig()) -> SomModel:
-    """Classic online Kohonen training on a circular lattice.
+def train_som(frames, cfg: AnalysisConfig, seed: int) -> SomModel:
+    """Classic online Kohonen training on a circular lattice, with the
+    som_* settings of cfg and an rng seeded from `seed`.
 
     Nodes start as a random distinct sample of the frames.  Each epoch
     shuffles the frames and, per frame, pulls every node toward it with
@@ -260,25 +236,26 @@ def train_som(frames, cfg: SomConfig = SomConfig()) -> SomModel:
     """
     cfg.validate()
     f = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if f.shape[0] < cfg.n_nodes:
-        raise DomainError(f"need at least {cfg.n_nodes} frames, "
+    if f.shape[0] < cfg.som_nodes:
+        raise DomainError(f"need at least {cfg.som_nodes} frames, "
                           f"got {f.shape[0]}")
-    rng = np.random.default_rng(cfg.seed)
-    nodes = f[rng.choice(f.shape[0], size=cfg.n_nodes, replace=False)].copy()
-    lattice = np.arange(cfg.n_nodes)
-    d = circular_distance(lattice[:, None], lattice[None, :], cfg.n_nodes)
-    qe = np.empty(cfg.n_epochs)
+    rng = np.random.default_rng(seed)
+    nodes = f[rng.choice(f.shape[0], size=cfg.som_nodes, replace=False)].copy()
+    lattice = np.arange(cfg.som_nodes)
+    d = circular_distance(lattice[:, None], lattice[None, :], cfg.som_nodes)
+    qe = np.empty(cfg.som_epochs)
     # per-frame scratch, reused so the inner loop allocates nothing
     diff = np.empty_like(nodes)
     work = np.empty_like(nodes)
-    d2 = np.empty(cfg.n_nodes)
-    for epoch in range(cfg.n_epochs):
-        if cfg.n_epochs == 1:
+    d2 = np.empty(cfg.som_nodes)
+    for epoch in range(cfg.som_epochs):
+        if cfg.som_epochs == 1:
             frac = 0.0
         else:
-            frac = epoch / (cfg.n_epochs - 1)
-        lr = (1.0 - frac) * cfg.lr_start + frac * cfg.lr_end
-        radius = (1.0 - frac) * cfg.radius_start + frac * cfg.radius_end
+            frac = epoch / (cfg.som_epochs - 1)
+        lr = (1.0 - frac) * cfg.som_lr_start + frac * cfg.som_lr_end
+        radius = ((1.0 - frac) * cfg.som_radius_start
+                  + frac * cfg.som_radius_end)
         # step[b]: learning rate times the neighborhood around node b, one
         # row per node, repeated across the frame width so that scaling
         # the (n_nodes, M) update is one contiguous multiply
@@ -407,8 +384,9 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
     The gratings are scaled so their mean row norm equals
     mean_patch_norm, the mean centered norm of the training patches.
     p_init is the initial probability vector of the session that
-    recorded the frames; control_seed seeds the control frames and
-    som_seed the SOM.
+    recorded the frames; the control frames, as many as the frames, are
+    drawn at p_init.  control_seed seeds the control frames and som_seed
+    the SOM.
     """
     _, M, N = params.dims
     orientations = cfg.orientations()
@@ -424,19 +402,22 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
     threshold_at_m = significance_threshold(M, cfg.alpha) if M >= 4 \
         else float("nan")
     rep = correlate(frames, map_set, threshold)
-    n_control = cfg.n_control if cfg.n_control > 0 else frames.shape[0]
-    control = random_control_frames(p_init, n_control,
+    control = random_control_frames(p_init, frames.shape[0],
                                     np.random.default_rng(control_seed))
     ctrl_rep = correlate(control, map_set, threshold)
 
-    som = train_som(frames, cfg.som_config(som_seed))
+    som = train_som(frames, cfg, som_seed)
     som_best, som_best_r, _ = correlate_som(som, map_set)
     osi = orientation_selectivity(map_set)
 
     filters = first_layer_filters(params, whitener)
     rf = np.array([second_layer_rf(params, whitener, k)[0] for k in range(N)])
-    ratio = (rep.significant_fraction / ctrl_rep.significant_fraction
-             if ctrl_rep.significant_fraction > 0 else float("inf"))
+    if ctrl_rep.significant_fraction > 0:
+        ratio = rep.significant_fraction / ctrl_rep.significant_fraction
+    else:
+        # no significant control frame: inf if any spontaneous frame is
+        # significant, and 0/0 = nan (no evidence either way) if none is
+        ratio = float("inf") if rep.significant_fraction > 0 else float("nan")
     max_r = (float(np.nanmax(rep.max_r_per_orientation))
              if np.any(rep.significant) else float("nan"))
     summary = [
@@ -447,7 +428,7 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
         f"threshold = {format_float(threshold)}",
         f"threshold_at_M = {format_float(threshold_at_m)}",
         f"significant_fraction = {format_float(rep.significant_fraction)}",
-        f"control_frames = {n_control}",
+        f"control_frames = {control.shape[0]}",
         "control_significant_fraction = "
         + format_float(ctrl_rep.significant_fraction),
         f"significant_ratio = {format_float(ratio)}",

@@ -4,6 +4,8 @@ Subcommands: prepare (patches + whitening), train, sample (free-running
 session), analyze (maps, correlations, SOM, figures), report (aggregate
 a run directory).  Every subcommand is deterministic given the config
 and seed; artifacts carry no timestamps, so reruns are byte-identical.
+Each stage's seed is derived here, from the global seed with
+`stage_seed`, and passed to the stage.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric
 failure (including training divergence), 4 I/O or file-format error.
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import analyze
-from .config import RunConfig, load_config, stage_seed, with_stage_seeds
+from .config import RunConfig, load_config, stage_seed
 from .errors import (ConfigError, DomainError, FormatError, NumericError,
                      ShapeError)
 from .io import (format_float, load_matrix, load_model, open_atomic,
@@ -51,7 +53,7 @@ def _require(path: Path, hint: str) -> Path:
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = with_stage_seeds(replace(cfg, seed=args.seed)).validate()
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -104,7 +106,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path, epochs: int | None) -> int:
         write_csv(out_dir / TRAIN_LOG, LOG_COLUMNS, map(astuple, log))
 
     try:
-        result = train(data, dims, tcfg, progress=checkpoint)
+        result = train(data, dims, tcfg, stage_seed(cfg.seed, "train"),
+                       progress=checkpoint)
     except TrainingDiverged as exc:
         # keep the preceding epoch's checkpoint and log, then report
         save_model(out_dir / CHECKPOINT, exc.params, exc.offsets)
@@ -125,14 +128,15 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     params, offsets = load_model(_require(out_dir / MODEL, "train"))
     data, _ = load_matrix(_require(out_dir / TRAIN_WHITE, "prepare"))
     scfg = cfg.sampling
+    seed = stage_seed(cfg.seed, "sample")
     p_init = average_initial_probability(params, offsets, data, cfg.training)
-    frames = run_spontaneous_session(params, offsets, p_init, scfg)
+    frames = run_spontaneous_session(params, offsets, p_init, scfg, seed)
     save_matrix(out_dir / FRAMES, frames,
                 meta={"kind": "spontaneous", "layout": "recording-major",
                       "n_chains": str(scfg.n_chains),
                       "n_iterations": str(scfg.n_iterations),
                       "record_every": str(scfg.record_every),
-                      "seed": str(scfg.seed)})
+                      "seed": str(seed)})
     save_matrix(out_dir / P_INIT, p_init[None, :],
                 meta={"kind": "initial_probability"})
     print(f"sample: {frames.shape[0]} frames of width {frames.shape[1]}")

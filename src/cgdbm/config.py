@@ -11,14 +11,15 @@ Grammar, line by line:
 
 Sections are data, model, training, sampling, and analysis; every key
 maps to a field of the matching config dataclass.  Unknown sections or
-keys are errors, as is a repeated key.  Values never span lines.  Stage
-seeds are derived from the single global seed, so one number pins the
-whole pipeline.
+keys are errors, as is a repeated key.  Values never span lines.  No
+section has a seed: the CLI derives each stage's seed from the single
+global seed with `stage_seed` and passes it to the stage, so one number
+pins the whole pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +108,6 @@ _SECTION_TYPES = {
     "sampling": SessionConfig,
     "analysis": AnalysisConfig,
 }
-# stage seeds are derived from the global seed, never set per section
-_HIDDEN_KEYS = {"seed"}
 
 
 def _strip_comment(line: str) -> str:
@@ -162,7 +161,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         cls = _SECTION_TYPES[section]
         known = {f.name: f.type for f in fields(cls)}
-        if key in _HIDDEN_KEYS or key not in known:
+        if key not in known:
             raise ConfigError(f"{where}: unknown key {key!r} in "
                               f"section [{section}]")
         if key in values[section]:
@@ -170,24 +169,14 @@ def parse_config(text: str) -> RunConfig:
         ftype = {"int": int, "float": float, "str": str}[known[key]] \
             if isinstance(known[key], str) else known[key]
         values[section][key] = _convert(raw, ftype, where)
-    cfg = RunConfig(
+    return RunConfig(
         seed=0 if global_seed is None else global_seed,
         data=DataConfig(**values["data"]),
         model=ModelConfig(**values["model"]),
         training=TrainConfig(**values["training"]),
         sampling=SessionConfig(**values["sampling"]),
         analysis=AnalysisConfig(**values["analysis"]),
-    )
-    return with_stage_seeds(cfg).validate()
-
-
-def with_stage_seeds(cfg: RunConfig) -> RunConfig:
-    """Stamp the derived per-stage seeds into the stage configs."""
-    return replace(
-        cfg,
-        training=replace(cfg.training, seed=stage_seed(cfg.seed, "train")),
-        sampling=replace(cfg.sampling, seed=stage_seed(cfg.seed, "sample")),
-    )
+    ).validate()
 
 
 def load_config(path) -> RunConfig:

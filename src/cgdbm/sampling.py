@@ -6,9 +6,11 @@ vector of each chain.  Those probability vectors are the "frames" all the
 downstream correlation analysis works on; matched Bernoulli noise frames
 serve as the control.
 
-The random numbers of each recording interval are drawn one interval
-ahead on a worker thread (`training.noise_blocks`) while the main thread
-sweeps; the draws and their order are those of one sweep at a time.
+A session draws from one generator seeded with the `seed` argument of
+`run_spontaneous_session`; the configuration holds no seed.  The random
+numbers of each recording interval are drawn one interval ahead on a
+worker thread (`training.noise_blocks`) while the main thread sweeps;
+the draws and their order are those of one sweep at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class SessionConfig:
     n_chains: int = 100
     n_iterations: int = 2000
     record_every: int = 10
-    seed: int = 0
 
     def validate(self) -> "SessionConfig":
         if self.n_chains < 1 or self.n_iterations < 1 or self.record_every < 1:
@@ -59,7 +60,7 @@ def average_initial_probability(p: ModelParams, c: Offsets, dataset,
 
 
 def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
-                            cfg: SessionConfig) -> np.ndarray:
+                            cfg: SessionConfig, seed: int) -> np.ndarray:
     """Free-running session without any clamped input.
 
     Chains start from Bernoulli draws of p_init.  After every
@@ -76,7 +77,7 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
         raise ShapeError(f"p_init has shape {p_init.shape}, expected ({M},)")
     if p_init.min() < 0.0 or p_init.max() > 1.0:
         raise ValueError("p_init entries must lie in [0, 1]")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     y0 = (rng.random((cfg.n_chains, M)) < p_init).astype(np.float64)
     chains = PersistentChains(
         x=np.broadcast_to(c.c_x, (cfg.n_chains, L)).copy(),

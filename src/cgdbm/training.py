@@ -7,7 +7,9 @@ centering offsets follow moving averages of the batch activities with a
 compensating bias shift that leaves the represented distribution over the
 hidden layers unchanged.
 
-The random numbers of the chains depend on nothing a sweep computes, so
+Every random number of a run comes from one generator seeded with the
+`seed` argument of `train`; the configuration holds no seed.  The
+random numbers of the chains depend on nothing a sweep computes, so
 `train` draws each batch's block of them (`GibbsNoise`) one batch ahead
 on a worker thread while the main thread sweeps through the block before
 (`noise_blocks`); the sweeps only read their slice of a block.  The two
@@ -73,7 +75,6 @@ class TrainConfig:
     mean_field_max_iters: int = 30
     mean_field_tol: float = 1e-4
     gibbs_steps_per_batch: int = 5
-    seed: int = 0
     val_fraction: float = 0.1
     patience: int = 10
     sigma_step_clip: float = 0.05     # hard bound on each sigma update
@@ -129,9 +130,10 @@ class PersistentChains:
 
 @dataclass(frozen=True)
 class GradientStats:
-    """Batch means of the per-state gradients of -E, one block per
-    parameter group.  dsigma is taken with respect to the standard
-    deviations s_i, not the variances."""
+    """One block per parameter group: the batch means of the per-state
+    gradients of -E, or the momentum velocities that follow them.
+    dsigma is taken with respect to the standard deviations s_i, not the
+    variances."""
 
     dW: np.ndarray
     dU: np.ndarray
@@ -151,23 +153,6 @@ class GradientStats:
             mine = getattr(self, f.name)
             np.subtract(mine, getattr(other, f.name), out=mine)
         return self
-
-
-@dataclass
-class OptimizerState:
-    """Momentum velocities, one per parameter group."""
-
-    vW: np.ndarray
-    vU: np.ndarray
-    vb_y: np.ndarray
-    vb_z: np.ndarray
-    vsigma: np.ndarray
-
-    @classmethod
-    def zeros(cls, dims: tuple[int, int, int]) -> "OptimizerState":
-        L, M, N = dims
-        return cls(vW=np.zeros((L, M)), vU=np.zeros((M, N)),
-                   vb_y=np.zeros(M), vb_z=np.zeros(N), vsigma=np.zeros(L))
 
 
 @dataclass(frozen=True)
@@ -364,21 +349,24 @@ def batch_gradient_stats(x, y, z, p: ModelParams, c: Offsets,
     return out
 
 
-def apply_updates(p: ModelParams, opt: OptimizerState, grad: GradientStats,
-                  lr: float, momentum: float, cfg: TrainConfig) -> None:
+def apply_updates(p: ModelParams, velocity: GradientStats,
+                  grad: GradientStats, lr: float, momentum: float,
+                  cfg: TrainConfig) -> None:
     """Momentum SGD step on the data-minus-model gradient `grad`, in place
-    on p and opt; grad is used as scratch and holds nothing afterwards.
+    on p and velocity; grad is used as scratch and holds nothing
+    afterwards.
 
     Sigma steps use lr * sigma_lr_factor and are clipped elementwise; the
     velocity itself is clipped so it cannot wind up past the bound.
     """
-    for v, g, w in ((opt.vW, grad.dW, p.W), (opt.vU, grad.dU, p.U),
-                    (opt.vb_y, grad.db_y, p.b_y), (opt.vb_z, grad.db_z, p.b_z)):
+    for v, g, w in ((velocity.dW, grad.dW, p.W), (velocity.dU, grad.dU, p.U),
+                    (velocity.db_y, grad.db_y, p.b_y),
+                    (velocity.db_z, grad.db_z, p.b_z)):
         v *= momentum
         g *= lr
         v += g
         w += v
-    vs, sigma = opt.vsigma, grad.dsigma
+    vs, sigma = velocity.dsigma, grad.dsigma
     vs *= momentum
     sigma *= lr * cfg.sigma_lr_factor
     vs += sigma
@@ -470,12 +458,12 @@ def _snapshot(p: ModelParams, c: Offsets) -> tuple[ModelParams, Offsets]:
             Offsets(c_x=c.c_x.copy(), c_y=c.c_y.copy(), c_z=c.c_z.copy()))
 
 
-def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
+def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
           progress=None) -> TrainResult:
     """Run the full training schedule on the dataset rows.
 
     A validation slice (cfg.val_fraction of the rows, chosen by an rng
-    seeded from cfg.seed, which drives every draw of the run) is held out
+    seeded from `seed`, which drives every draw of the run) is held out
     for the stopping rule; training stops after `patience` epochs without
     a new best validation reconstruction error.  After each epoch,
     progress(record, params, offsets, log) gets copies of the state.
@@ -483,7 +471,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
     leave the finite range.
     """
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     data = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
     L, M, N = dims
     if data.shape[1] != L:
@@ -506,7 +494,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
         return TrainResult(params=p, offsets=c, log=[])
 
     # Everything below is updated in place; only _snapshot copies leave.
-    opt = OptimizerState.zeros(dims)
+    velocity = GradientStats.zeros(dims)
     n_chains = cfg.batch_size
     chains = PersistentChains(
         x=np.broadcast_to(c.c_x, (n_chains, L)).copy(),
@@ -555,7 +543,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
                     grad = data_stats.subtract(model_stats)
                     gw_norms.append(float(np.linalg.norm(grad.dW)))
                     gu_norms.append(float(np.linalg.norm(grad.dU)))
-                    apply_updates(p, opt, grad, lr, momentum, cfg)
+                    apply_updates(p, velocity, grad, lr, momentum, cfg)
                     _, db_y, db_z = update_offsets(c, mean_y, mean_z, mean_x,
                                                    p, cfg.offset_rate, out=c)
                     np.add(p.b_y, db_y, out=p.b_y)

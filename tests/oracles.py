@@ -21,12 +21,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from cgdbm.analysis import SomConfig, circular_distance, quantization_error
+from cgdbm.analysis import (AnalysisConfig, circular_distance,
+                            quantization_error)
 from cgdbm.errors import NumericError, ShapeError
 from cgdbm.model import SIGMA2_FLOOR, ModelParams, Offsets, check_dims, energy, sigmoid
-from cgdbm.training import (EpochRecord, GradientStats, OptimizerState,
-                            PersistentChains, TrainConfig, TrainingDiverged,
-                            TrainResult, anneal, initialize, mean_field_data)
+from cgdbm.training import (EpochRecord, GradientStats, PersistentChains,
+                            TrainConfig, TrainingDiverged, TrainResult, anneal,
+                            initialize, mean_field_data)
 
 
 def raw_energy(x, y, z, W, U, b_y, b_z, sigma2, c_x, c_y, c_z) -> float:
@@ -182,24 +183,25 @@ def random_state(rng: np.random.Generator, L: int, M: int,
             (rng.random(N) < 0.5).astype(float))
 
 
-def som_reference(frames: np.ndarray, cfg: SomConfig):
+def som_reference(frames: np.ndarray, cfg: AnalysisConfig, seed: int):
     """Online Kohonen training with the straightforward per-frame step
     (fresh arrays for every distance and update).  Returns the nodes and
     the per-epoch quantization error; `train_som` must match both bit for
     bit, so its in-place arithmetic may reorder nothing."""
     f = np.asarray(frames, dtype=np.float64)
-    rng = np.random.default_rng(cfg.seed)
-    nodes = f[rng.choice(f.shape[0], size=cfg.n_nodes, replace=False)].copy()
-    lattice = np.arange(cfg.n_nodes)
-    d = circular_distance(lattice[:, None], lattice[None, :], cfg.n_nodes)
-    qe = np.empty(cfg.n_epochs)
-    for epoch in range(cfg.n_epochs):
-        if cfg.n_epochs == 1:
+    rng = np.random.default_rng(seed)
+    nodes = f[rng.choice(f.shape[0], size=cfg.som_nodes, replace=False)].copy()
+    lattice = np.arange(cfg.som_nodes)
+    d = circular_distance(lattice[:, None], lattice[None, :], cfg.som_nodes)
+    qe = np.empty(cfg.som_epochs)
+    for epoch in range(cfg.som_epochs):
+        if cfg.som_epochs == 1:
             frac = 0.0
         else:
-            frac = epoch / (cfg.n_epochs - 1)
-        lr = (1.0 - frac) * cfg.lr_start + frac * cfg.lr_end
-        radius = (1.0 - frac) * cfg.radius_start + frac * cfg.radius_end
+            frac = epoch / (cfg.som_epochs - 1)
+        lr = (1.0 - frac) * cfg.som_lr_start + frac * cfg.som_lr_end
+        radius = ((1.0 - frac) * cfg.som_radius_start
+                  + frac * cfg.som_radius_end)
         step = lr * np.exp(-(d * d) / (2.0 * radius * radius))
         order = rng.permutation(f.shape[0])
         for i in order:
@@ -278,14 +280,15 @@ def _batch_gradient_stats(x, y, z, p: ModelParams, c: Offsets) -> GradientStats:
                          dsigma=dsigma)
 
 
-def _apply_updates(p: ModelParams, opt: OptimizerState, data_stats: GradientStats,
-                   model_stats: GradientStats, lr: float, momentum: float,
-                   cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
-    vW = momentum * opt.vW + lr * (data_stats.dW - model_stats.dW)
-    vU = momentum * opt.vU + lr * (data_stats.dU - model_stats.dU)
-    vb_y = momentum * opt.vb_y + lr * (data_stats.db_y - model_stats.db_y)
-    vb_z = momentum * opt.vb_z + lr * (data_stats.db_z - model_stats.db_z)
-    vs = momentum * opt.vsigma + (lr * cfg.sigma_lr_factor) * (
+def _apply_updates(p: ModelParams, velocity: GradientStats,
+                   data_stats: GradientStats, model_stats: GradientStats,
+                   lr: float, momentum: float,
+                   cfg: TrainConfig) -> tuple[ModelParams, GradientStats]:
+    vW = momentum * velocity.dW + lr * (data_stats.dW - model_stats.dW)
+    vU = momentum * velocity.dU + lr * (data_stats.dU - model_stats.dU)
+    vb_y = momentum * velocity.db_y + lr * (data_stats.db_y - model_stats.db_y)
+    vb_z = momentum * velocity.db_z + lr * (data_stats.db_z - model_stats.db_z)
+    vs = momentum * velocity.dsigma + (lr * cfg.sigma_lr_factor) * (
         data_stats.dsigma - model_stats.dsigma)
     vs = np.clip(vs, -cfg.sigma_step_clip, cfg.sigma_step_clip)
     sigma = np.maximum(np.sqrt(p.sigma2) + vs, np.sqrt(SIGMA2_FLOOR))
@@ -295,7 +298,7 @@ def _apply_updates(p: ModelParams, opt: OptimizerState, data_stats: GradientStat
                       ("b_z", new.b_z), ("sigma2", new.sigma2)):
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values in {name} after update")
-    return new, OptimizerState(vW=vW, vU=vU, vb_y=vb_y, vb_z=vb_z, vsigma=vs)
+    return new, GradientStats(dW=vW, dU=vU, db_y=vb_y, db_z=vb_z, dsigma=vs)
 
 
 def _update_offsets(c: Offsets, batch_mean_y, batch_mean_z, batch_mean_x,
@@ -329,11 +332,11 @@ def _reconstruction_error(p: ModelParams, c: Offsets, data) -> float:
 
 
 def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
-                    progress=None) -> TrainResult:
+                    seed: int, progress=None) -> TrainResult:
     """`train` as one allocating, single-threaded loop: every batch
     builds new parameter, offset and chain objects."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     data = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
     L, M, N = dims
     if data.shape[1] != L:
@@ -355,7 +358,7 @@ def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
     if cfg.epochs_max == 0:
         return TrainResult(params=p, offsets=c, log=[])
 
-    opt = OptimizerState.zeros(dims)
+    velocity = GradientStats.zeros(dims)
     n_chains = cfg.batch_size
     chains = PersistentChains(
         x=np.broadcast_to(c.c_x, (n_chains, L)).copy(),
@@ -383,8 +386,8 @@ def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
                 for _ in range(cfg.gibbs_steps_per_batch):
                     chains = gibbs_reference(chains, p, c, rng)
                 model_stats = _batch_gradient_stats(chains.x, chains.y, chains.z, p, c)
-                p, opt = _apply_updates(p, opt, data_stats, model_stats,
-                                        lr, momentum, cfg)
+                p, velocity = _apply_updates(p, velocity, data_stats,
+                                             model_stats, lr, momentum, cfg)
                 c, db_y, db_z = _update_offsets(c, mf.y.mean(axis=0),
                                                 mf.z.mean(axis=0),
                                                 batch.mean(axis=0),

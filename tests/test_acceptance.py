@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from cgdbm.analysis import (
+    AnalysisConfig,
     OrientationMapSet,
-    SomConfig,
     correlate,
     significance_threshold,
     train_som,
@@ -264,8 +264,8 @@ def test_a09a_som_ring_topology_and_quantization():
     ring = np.zeros((600, 12))
     ring[:, 0] = np.cos(angles)
     ring[:, 1] = np.sin(angles)
-    som = train_som(ring, SomConfig(n_epochs=20, radius_start=4.0,
-                                    lr_start=0.25, seed=4))
+    som = train_som(ring, AnalysisConfig(som_epochs=20, som_radius_start=4.0,
+                                         som_lr_start=0.25), seed=4)
     node_angle = np.arctan2(som.nodes[:, 1], som.nodes[:, 0])
     steps = np.diff(np.concatenate([node_angle, node_angle[:1]]))
     steps = (steps + np.pi) % (2 * np.pi) - np.pi

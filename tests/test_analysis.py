@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgdbm.analysis import (CorrelationReport, OrientationMapSet, SomConfig,
-                            circular_distance, correlate, correlate_som,
-                            dewhiten_direction, first_layer_filters,
-                            orientation_maps, orientation_selectivity,
-                            quantization_error, second_layer_rf,
-                            significance_threshold, top_active_filters,
-                            train_som)
+from cgdbm.analysis import (AnalysisConfig, CorrelationReport,
+                            OrientationMapSet, analyze, circular_distance,
+                            correlate, correlate_som, dewhiten_direction,
+                            first_layer_filters, orientation_maps,
+                            orientation_selectivity, quantization_error,
+                            second_layer_rf, significance_threshold,
+                            top_active_filters, train_som)
 from cgdbm.errors import DomainError, ShapeError
 from cgdbm.model import ModelParams, Offsets
 from cgdbm.stimuli import fit_whitener, generate_gratings
@@ -236,7 +236,8 @@ def test_circular_distance():
 def test_som_single_attractor(rng):
     v = rng.uniform(size=12)
     frames = np.tile(v, (50, 1))
-    som = train_som(frames, SomConfig(n_nodes=5, n_epochs=10, seed=1))
+    som = train_som(frames, AnalysisConfig(som_nodes=5, som_epochs=10),
+                    seed=1)
     np.testing.assert_allclose(som.nodes, np.tile(v, (5, 1)), atol=1e-6)
 
 
@@ -248,8 +249,9 @@ def test_som_ring_topology_and_qe(rng):
     ring[:, 1] = np.sin(angles)
     # gentle ordering phase: big-radius high-lr starts contract the ring
     # toward its centroid early on, which bumps the error before descent
-    cfg = SomConfig(n_epochs=20, radius_start=4.0, lr_start=0.25, seed=4)
-    som = train_som(ring, cfg)
+    cfg = AnalysisConfig(som_epochs=20, som_radius_start=4.0,
+                         som_lr_start=0.25)
+    som = train_som(ring, cfg, seed=4)
     node_angle = np.arctan2(som.nodes[:, 1], som.nodes[:, 0])
     steps = np.diff(np.concatenate([node_angle, node_angle[:1]]))
     steps = (steps + np.pi) % (2 * np.pi) - np.pi
@@ -258,20 +260,21 @@ def test_som_ring_topology_and_qe(rng):
     assert abs(np.sum(steps)) == pytest.approx(2 * np.pi, abs=1e-9)
     # quantization error decreases in at least 90% of epoch pairs
     dec = np.sum(np.diff(som.qe_history) < 0)
-    assert dec / (cfg.n_epochs - 1) >= 0.9
+    assert dec / (cfg.som_epochs - 1) >= 0.9
     assert som.qe_history[-1] < som.qe_history[0]
 
 
 def test_som_requires_enough_frames(rng):
     with pytest.raises(DomainError):
-        train_som(rng.uniform(size=(10, 4)), SomConfig(n_nodes=40))
+        train_som(rng.uniform(size=(10, 4)), AnalysisConfig(som_nodes=40),
+                  seed=0)
 
 
 def test_som_deterministic(rng):
     frames = rng.uniform(size=(60, 9))
-    cfg = SomConfig(n_nodes=8, n_epochs=5, seed=12)
-    a = train_som(frames, cfg)
-    b = train_som(frames, cfg)
+    cfg = AnalysisConfig(som_nodes=8, som_epochs=5)
+    a = train_som(frames, cfg, seed=12)
+    b = train_som(frames, cfg, seed=12)
     np.testing.assert_array_equal(a.nodes, b.nodes)
     np.testing.assert_array_equal(a.qe_history, b.qe_history)
 
@@ -297,19 +300,20 @@ def _binary(seed):
     return np.random.default_rng(seed).integers(0, 2, size=(300, 9)) * 1.0
 
 
-@pytest.mark.parametrize("frames, cfg", [
-    (_ring(600, 909), SomConfig(n_epochs=20, radius_start=4.0, lr_start=0.25,
-                                seed=4)),
+@pytest.mark.parametrize("frames, cfg, seed", [
+    (_ring(600, 909), AnalysisConfig(som_epochs=20, som_radius_start=4.0,
+                                     som_lr_start=0.25), 4),
     (np.random.default_rng(3).uniform(size=(300, 9)),
-     SomConfig(n_nodes=8, n_epochs=1, seed=5)),
-    (_tied(7), SomConfig(n_nodes=6, n_epochs=4, radius_start=2.0, seed=8)),
-    (_binary(1), SomConfig(n_nodes=8, n_epochs=3, seed=1)),
+     AnalysisConfig(som_nodes=8, som_epochs=1), 5),
+    (_tied(7), AnalysisConfig(som_nodes=6, som_epochs=4,
+                              som_radius_start=2.0), 8),
+    (_binary(1), AnalysisConfig(som_nodes=8, som_epochs=3), 1),
     (np.random.default_rng(11).uniform(size=(2000, 64)),
-     SomConfig(n_epochs=3, seed=2)),
+     AnalysisConfig(som_epochs=3), 2),
 ], ids=["a09a_ring", "one_epoch", "bmu_ties", "binary", "desk_width"])
-def test_som_matches_reference_loop_exactly(frames, cfg):
-    som = train_som(frames, cfg)
-    nodes, qe = som_reference(frames, cfg)
+def test_som_matches_reference_loop_exactly(frames, cfg, seed):
+    som = train_som(frames, cfg, seed)
+    nodes, qe = som_reference(frames, cfg, seed)
     assert np.array_equal(som.nodes, nodes)
     assert np.array_equal(som.qe_history, qe)
 
@@ -438,3 +442,20 @@ def test_osi_range_and_orthogonal_bin(rng):
         orientation_selectivity(OrientationMapSet(
             orientations=np.array([0.0, 60.0, 120.0]),
             maps=np.full((3, 2), 0.5)))
+
+
+# --- the analysis of one run -----------------------------------------------
+
+def test_analyze_ratio_is_nan_when_no_frame_is_significant(rng):
+    # constant frames never qualify, and an all-zero p_init draws all-zero
+    # (constant) controls: 0/0 is no evidence, not an infinite ratio
+    side, L, M, N = 4, 6, 5, 2
+    p, c = random_model(rng, L, M, N)
+    w = fit_whitener(rng.normal(size=(300, side * side)), L)
+    res = analyze(p, c, w, side, 1.0, np.full((10, M), 0.3), np.zeros(M),
+                  AnalysisConfig(som_nodes=4, som_epochs=2), TrainConfig(),
+                  som_seed=1, control_seed=2)
+    summary = dict(line.split(" = ") for line in res.summary)
+    assert summary["significant_fraction"] == "0"
+    assert summary["control_significant_fraction"] == "0"
+    assert summary["significant_ratio"] == "nan"

@@ -10,9 +10,12 @@ import pytest
 from cgdbm.analysis import analyze
 from cgdbm.cli import main
 from cgdbm.config import load_config, stage_seed
-from cgdbm.io import load_matrix, load_model, save_matrix, write_pgm
+from cgdbm.io import (load_matrix, load_model, save_matrix, save_model,
+                      write_pgm)
+from cgdbm.sampling import average_initial_probability, run_spontaneous_session
 from cgdbm.stimuli import load_whitener
 from cgdbm.synth import make_corpus
+from cgdbm.training import train
 from tiny import TINY_CFG
 
 
@@ -137,6 +140,30 @@ def test_seed_override_changes_artifacts(run_dir, tmp_path):
     assert main(["prepare", *base]) == 0
     assert (out / "train_white.cgmat").read_bytes() != \
         (out2 / "train_white.cgmat").read_bytes()
+
+
+def test_seed_override_seeds_train_and_sample(run_dir, tmp_path):
+    # under --seed 99, train and sample run on the seeds derived from 99,
+    # not from the config's seed 11
+    root, cfg_path, out = run_dir
+    run = tmp_path / "seeded"
+    base = ["--config", str(cfg_path), "--out-dir", str(run), "--seed", "99"]
+    for step in ("prepare", "train", "sample"):
+        assert main([step, *base]) == 0
+    cfg = load_config(cfg_path)
+    data, _ = load_matrix(run / "train_white.cgmat")
+    want = train(data, cfg.model.dims, cfg.training, stage_seed(99, "train"))
+    save_model(tmp_path / "want.cgdbm", want.params, want.offsets)
+    assert (run / "model.cgdbm").read_bytes() == \
+        (tmp_path / "want.cgdbm").read_bytes()
+    p_init = average_initial_probability(want.params, want.offsets, data,
+                                         cfg.training)
+    frames, meta = load_matrix(run / "frames.cgmat")
+    seed = stage_seed(99, "sample")
+    np.testing.assert_array_equal(
+        frames, run_spontaneous_session(want.params, want.offsets, p_init,
+                                        cfg.sampling, seed))
+    assert meta["seed"] == str(seed)
 
 
 def test_epochs_zero_saves_initial_model(run_dir, tmp_path):

@@ -1,11 +1,14 @@
 """Config grammar, validation, and stage-seed derivation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cgdbm.config import (RunConfig, load_config, parse_config, stage_seed,
-                          with_stage_seeds)
+from cgdbm.config import load_config, parse_config, stage_seed
 from cgdbm.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 # a desk-scale run
@@ -52,16 +55,13 @@ def test_parse_good_config():
     assert cfg.analysis.threshold_n == 64
 
 
-def test_stage_seeds_are_distinct_and_stamped():
-    cfg = parse_config(GOOD)
+def test_stage_seeds_are_distinct():
     seeds = {stage_seed(7, s) for s in ("prepare", "train", "sample",
                                         "analyze")}
     seeds.add(stage_seed(7, "analyze", 1))  # the control-frame stream
     assert len(seeds) == 5
     assert stage_seed(7, "analyze", 1) == int(
         np.random.SeedSequence([7, 4, 1]).generate_state(1)[0])
-    assert cfg.training.seed == stage_seed(7, "train")
-    assert cfg.sampling.seed == stage_seed(7, "sample")
     with pytest.raises(ConfigError):
         stage_seed(7, "nope")
 
@@ -84,6 +84,12 @@ def test_defaults_when_sections_missing():
     ("[model]\nL = abc\n", "cannot parse"),
     ("[model]\nL = 1\nL = 2\n", "duplicate key"),
     ("[training]\nseed = 5\n", "unknown key"),
+    ("[sampling]\nseed = 5\n", "unknown key"),
+    ("[analysis]\nn_control = 5\n", "unknown key"),
+    ("[analysis]\nsom_nodes = 1\n", "need at least 2 nodes"),
+    ("[analysis]\nsom_epochs = 0\n", "need at least 1 epoch"),
+    ("[analysis]\nsom_lr_end = 0\n", "learning rates must be positive"),
+    ("[analysis]\nsom_radius_start = -1\n", "radii must be positive"),
     ("seed\n", "expected key = value"),
     ("[model]\nL = 42\n", "must equal"),
     ("[training]\nepochs_max = -1\n", "epochs_max"),
@@ -111,6 +117,8 @@ def test_load_config_round_trip(tmp_path):
     assert load_config(path) == parse_config(GOOD)
 
 
-def test_with_stage_seeds_idempotent():
-    cfg = with_stage_seeds(RunConfig(seed=9))
-    assert with_stage_seeds(cfg) == cfg
+@pytest.mark.parametrize("name, dims", [("desk.cfg", (100, 64, 16)),
+                                        ("full.cfg", (256, 900, 100))])
+def test_shipped_configs_parse_and_validate(name, dims):
+    # load_config validates every section
+    assert load_config(CONFIGS / name).model.dims == dims

@@ -29,16 +29,16 @@ class TestSessionConfig:
 class TestSpontaneousSession:
     def test_frame_count_and_range(self, rng):
         p, c = random_model(rng, 2, 3, 2)
-        cfg = SessionConfig(n_chains=7, n_iterations=60, record_every=10, seed=4)
-        frames = run_spontaneous_session(p, c, np.full(3, 0.5), cfg)
+        cfg = SessionConfig(n_chains=7, n_iterations=60, record_every=10)
+        frames = run_spontaneous_session(p, c, np.full(3, 0.5), cfg, seed=4)
         assert frames.shape == (6 * 7, 3)
         assert frames.min() >= 0.0 and frames.max() <= 1.0
 
     def test_bit_identical_reruns(self, rng):
         p, c = random_model(rng, 2, 3, 2)
-        cfg = SessionConfig(n_chains=5, n_iterations=40, record_every=5, seed=21)
-        a = run_spontaneous_session(p, c, np.full(3, 0.3), cfg)
-        b = run_spontaneous_session(p, c, np.full(3, 0.3), cfg)
+        cfg = SessionConfig(n_chains=5, n_iterations=40, record_every=5)
+        a = run_spontaneous_session(p, c, np.full(3, 0.3), cfg, seed=21)
+        b = run_spontaneous_session(p, c, np.full(3, 0.3), cfg, seed=21)
         np.testing.assert_array_equal(a, b)
 
     def test_frames_equal_reference_sweep(self, rng):
@@ -49,28 +49,25 @@ class TestSpontaneousSession:
         p_init = rng.uniform(0.1, 0.9, 5)
         for record_every in (5, 1, 30):
             cfg = SessionConfig(n_chains=6, n_iterations=30,
-                                record_every=record_every, seed=8)
+                                record_every=record_every)
             np.testing.assert_array_equal(
-                run_spontaneous_session(p, c, p_init, cfg),
+                run_spontaneous_session(p, c, p_init, cfg, seed=8),
                 session_reference(p, c, p_init, cfg.n_chains,
-                                  cfg.n_iterations, cfg.record_every,
-                                  cfg.seed))
+                                  cfg.n_iterations, cfg.record_every, 8))
 
     def test_worker_thread_ends_with_the_session(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         before = threading.active_count()
         run_spontaneous_session(p, c, np.full(3, 0.5),
                                 SessionConfig(n_chains=4, n_iterations=20,
-                                              record_every=5, seed=3))
+                                              record_every=5), seed=3)
         assert threading.active_count() == before
 
     def test_seed_changes_frames(self, rng):
         p, c = random_model(rng, 2, 3, 2)
-        base = dict(n_chains=5, n_iterations=40, record_every=5)
-        a = run_spontaneous_session(p, c, np.full(3, 0.3),
-                                    SessionConfig(seed=1, **base))
-        b = run_spontaneous_session(p, c, np.full(3, 0.3),
-                                    SessionConfig(seed=2, **base))
+        cfg = SessionConfig(n_chains=5, n_iterations=40, record_every=5)
+        a = run_spontaneous_session(p, c, np.full(3, 0.3), cfg, seed=1)
+        b = run_spontaneous_session(p, c, np.full(3, 0.3), cfg, seed=2)
         assert np.abs(a - b).max() > 0
 
     def test_recorded_probabilities_average_to_marginal(self, rng):
@@ -80,17 +77,19 @@ class TestSpontaneousSession:
         table = brute_force_hidden_marginal(p, c)
         ys = all_binary_states(3)
         marginal = (table.sum(axis=1)[:, None] * ys).sum(axis=0)
-        cfg = SessionConfig(n_chains=60, n_iterations=600, record_every=3, seed=9)
-        got = run_spontaneous_session(p, c, np.full(3, 0.5), cfg).mean(axis=0)
+        cfg = SessionConfig(n_chains=60, n_iterations=600, record_every=3)
+        got = run_spontaneous_session(p, c, np.full(3, 0.5), cfg,
+                                      seed=9).mean(axis=0)
         np.testing.assert_allclose(got, marginal, atol=0.02)
 
     def test_bad_p_init_rejected(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         cfg = SessionConfig(n_chains=2, n_iterations=10, record_every=5)
         with pytest.raises(ShapeError):
-            run_spontaneous_session(p, c, np.full(4, 0.5), cfg)
+            run_spontaneous_session(p, c, np.full(4, 0.5), cfg, seed=0)
         with pytest.raises(ValueError):
-            run_spontaneous_session(p, c, np.array([0.5, 0.5, 1.5]), cfg)
+            run_spontaneous_session(p, c, np.array([0.5, 0.5, 1.5]), cfg,
+                                    seed=0)
 
 
 class TestControls:

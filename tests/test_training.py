@@ -16,7 +16,6 @@ from cgdbm.model import ModelParams, Offsets, cond_hidden1, cond_visible, sigmoi
 from cgdbm.training import (
     GibbsNoise,
     GradientStats,
-    OptimizerState,
     PersistentChains,
     TrainConfig,
     TrainingDiverged,
@@ -256,17 +255,17 @@ class TestApplyUpdates:
     def test_velocity_decays_geometrically(self, rng):
         p, c = random_model(rng, 2, 3, 2)
         dims = (2, 3, 2)
-        opt = OptimizerState.zeros(dims)
-        opt.vW += 0.04
-        opt.vsigma += 0.02
+        velocity = GradientStats.zeros(dims)
+        velocity.dW[...] += 0.04
+        velocity.dsigma[...] += 0.02
         cfg = TrainConfig()
-        apply_updates(p, opt, GradientStats.zeros(dims), lr=0.1, momentum=0.5,
-                      cfg=cfg)
-        np.testing.assert_array_equal(opt.vW, np.full((2, 3), 0.02))
-        np.testing.assert_array_equal(opt.vsigma, np.full(2, 0.01))
-        apply_updates(p, opt, GradientStats.zeros(dims), lr=0.1, momentum=0.5,
-                      cfg=cfg)
-        np.testing.assert_array_equal(opt.vW, np.full((2, 3), 0.01))
+        apply_updates(p, velocity, GradientStats.zeros(dims), lr=0.1,
+                      momentum=0.5, cfg=cfg)
+        np.testing.assert_array_equal(velocity.dW, np.full((2, 3), 0.02))
+        np.testing.assert_array_equal(velocity.dsigma, np.full(2, 0.01))
+        apply_updates(p, velocity, GradientStats.zeros(dims), lr=0.1,
+                      momentum=0.5, cfg=cfg)
+        np.testing.assert_array_equal(velocity.dW, np.full((2, 3), 0.01))
 
     def test_plain_step_without_momentum(self, rng):
         p, c = random_model(rng, 2, 3, 2)
@@ -275,7 +274,7 @@ class TestApplyUpdates:
         grad = GradientStats.zeros(dims)
         v = np.array([0.3, -0.2, 0.5])
         grad.db_y[:] = v
-        apply_updates(p, OptimizerState.zeros(dims), grad, lr=1.0,
+        apply_updates(p, GradientStats.zeros(dims), grad, lr=1.0,
                       momentum=0.0, cfg=TrainConfig())
         np.testing.assert_allclose(p.b_y, b_y + v, atol=1e-15)
 
@@ -290,7 +289,7 @@ class TestApplyUpdates:
             return g
 
         cfg = TrainConfig()
-        apply_updates(p, OptimizerState.zeros(dims), grad(), lr=1.0,
+        apply_updates(p, GradientStats.zeros(dims), grad(), lr=1.0,
                       momentum=0.0, cfg=cfg)
         step = np.sqrt(p.sigma2) - np.sqrt(sigma2)
         assert step[0] == pytest.approx(cfg.sigma_step_clip, abs=1e-12)
@@ -298,7 +297,7 @@ class TestApplyUpdates:
         # Drive sigma into the floor.
         pf = ModelParams(W=p.W, U=p.U, b_y=p.b_y, b_z=p.b_z,
                          sigma2=np.full(2, 1.2e-4))
-        apply_updates(pf, OptimizerState.zeros(dims), grad(), lr=1.0,
+        apply_updates(pf, GradientStats.zeros(dims), grad(), lr=1.0,
                       momentum=0.0, cfg=cfg)
         assert pf.sigma2[1] == pytest.approx(1e-4, abs=1e-18)
 
@@ -307,7 +306,7 @@ class TestApplyUpdates:
         grad = GradientStats.zeros((2, 3, 2))
         grad.dU[0, 0] = np.inf
         with pytest.raises(NumericError, match="U"):
-            apply_updates(p, OptimizerState.zeros((2, 3, 2)), grad, lr=1.0,
+            apply_updates(p, GradientStats.zeros((2, 3, 2)), grad, lr=1.0,
                           momentum=0.0, cfg=TrainConfig())
 
 
@@ -370,9 +369,9 @@ class TestTrain:
     def test_zero_epochs_returns_initialized_model(self, rng):
         data = rng.standard_normal((50, 3))
         cfg = TrainConfig(epochs_max=0, batch_size=10)
-        res = train(data, (3, 4, 2), cfg)
+        res = train(data, (3, 4, 2), cfg, seed=0)
         assert res.log == []
-        rng2 = np.random.default_rng(cfg.seed)
+        rng2 = np.random.default_rng(0)
         rng2.permutation(50)
         p0, c0 = initialize((3, 4, 2), data.mean(axis=0), cfg, rng2)
         np.testing.assert_array_equal(res.params.W, p0.W)
@@ -380,8 +379,8 @@ class TestTrain:
 
     def test_runs_and_logs(self, rng):
         data = rng.standard_normal((80, 3))
-        cfg = TrainConfig(epochs_max=4, batch_size=20, seed=7)
-        res = train(data, (3, 4, 2), cfg)
+        cfg = TrainConfig(epochs_max=4, batch_size=20)
+        res = train(data, (3, 4, 2), cfg, seed=7)
         assert len(res.log) == 4
         assert all(np.isfinite(r.reconstruction_error) for r in res.log)
         assert res.log[0].learning_rate == 0.03
@@ -389,9 +388,9 @@ class TestTrain:
 
     def test_deterministic_given_seed(self, rng):
         data = rng.standard_normal((60, 3))
-        cfg = TrainConfig(epochs_max=3, batch_size=20, seed=11)
-        a = train(data, (3, 4, 2), cfg)
-        b = train(data, (3, 4, 2), cfg)
+        cfg = TrainConfig(epochs_max=3, batch_size=20)
+        a = train(data, (3, 4, 2), cfg, seed=11)
+        b = train(data, (3, 4, 2), cfg, seed=11)
         np.testing.assert_array_equal(a.params.W, b.params.W)
         np.testing.assert_array_equal(a.params.sigma2, b.params.sigma2)
         assert [r.reconstruction_error for r in a.log] == [r.reconstruction_error for r in b.log]
@@ -400,9 +399,9 @@ class TestTrain:
         data = rng.standard_normal((60, 3)) * 50.0
         cfg = TrainConfig(epochs_max=50, batch_size=20,
                           learning_rate_start=2e5, learning_rate_end=2e5,
-                          momentum_start=0.0, momentum_end=0.0, seed=3)
+                          momentum_start=0.0, momentum_end=0.0)
         with pytest.raises(TrainingDiverged) as exc_info:
-            train(data, (3, 4, 2), cfg)
+            train(data, (3, 4, 2), cfg, seed=3)
         exc = exc_info.value
         assert np.all(np.isfinite(exc.params.W))
         assert isinstance(exc.offsets, Offsets)
@@ -412,9 +411,8 @@ class TestTrain:
         data = np.tile(np.array([0.5, -0.25]), (40, 1))
         data = data + rng.standard_normal((40, 2)) * 1e-9
         cfg = TrainConfig(epochs_max=200, batch_size=10, patience=3,
-                          learning_rate_start=1e-6, learning_rate_end=1e-6,
-                          seed=5)
-        res = train(data, (2, 3, 2), cfg)
+                          learning_rate_start=1e-6, learning_rate_end=1e-6)
+        res = train(data, (2, 3, 2), cfg, seed=5)
         assert res.stopped_early
         assert len(res.log) < 200
 
@@ -427,14 +425,14 @@ class TestTrain:
             p_true, c_true = random_model(rng, L=2, M=3, N=2, scale=0.9)
             data = sample_exact(p_true, c_true, 500, rng)
             val = sample_exact(p_true, c_true, 200, rng)
-            cfg = TrainConfig(epochs_max=25, batch_size=50, seed=seed,
+            cfg = TrainConfig(epochs_max=25, batch_size=50,
                               val_fraction=0.0, patience=100)
             # Mirror train's rng sequence (split permutation, then init) to
             # recover the exact starting model.
-            rng_t = np.random.default_rng(cfg.seed)
+            rng_t = np.random.default_rng(seed)
             rng_t.permutation(500)
             p0, c0 = initialize((2, 3, 2), data.mean(axis=0), cfg, rng_t)
-            res = train(data, (2, 3, 2), cfg)
+            res = train(data, (2, 3, 2), cfg, seed)
             ll_before = log_likelihood(val, p0, c0)
             ll_after = log_likelihood(val, res.params, res.offsets)
             if ll_after > ll_before:
@@ -487,10 +485,10 @@ def data_phase_on(request, monkeypatch):
     return request.param
 
 
-# Diverges in epoch 8, after eight finished epochs.
+# With seed 3, diverges in epoch 8, after eight finished epochs.
 DIVERGING = TrainConfig(epochs_max=50, batch_size=20,
                         learning_rate_start=2e5, learning_rate_end=2e5,
-                        momentum_start=0.0, momentum_end=0.0, seed=3)
+                        momentum_start=0.0, momentum_end=0.0)
 
 
 @pytest.mark.usefixtures("data_phase_on")
@@ -498,10 +496,10 @@ class TestTrainMatchesReference:
     """train() (in-place buffers, data phase on the worker thread or in
     line) against the allocating single-threaded loop, bit for bit."""
 
-    def check(self, data, dims, cfg):
-        want = train_reference(data, dims, cfg)
+    def check(self, data, dims, cfg, seed):
+        want = train_reference(data, dims, cfg, seed)
         threads = threading.active_count()
-        got = train(data, dims, cfg)
+        got = train(data, dims, cfg, seed)
         # the worker thread ends with train, early stop or not
         assert threading.active_count() == threads
         assert_same_state((got.params, got.offsets), (want.params, want.offsets))
@@ -511,7 +509,7 @@ class TestTrainMatchesReference:
 
     def test_uneven_last_batch(self, rng, monkeypatch, data_phase_on):
         data = rng.standard_normal((97, 3))
-        cfg = TrainConfig(epochs_max=4, batch_size=20, seed=7)
+        cfg = TrainConfig(epochs_max=4, batch_size=20)
         threads = set()
         original = cgdbm.training.mean_field_data
 
@@ -521,7 +519,7 @@ class TestTrainMatchesReference:
 
         monkeypatch.setattr(cgdbm.training, "mean_field_data", watched)
         # 10 validation rows leave 87: four batches of 20 and one of 7
-        res = self.check(data, (3, 5, 2), cfg)
+        res = self.check(data, (3, 5, 2), cfg, seed=7)
         assert len(res.log) == 4
         assert (threading.main_thread() in threads) == (data_phase_on == "inline")
         assert len(threads) == 1
@@ -535,7 +533,7 @@ class TestTrainMatchesReference:
         momentum = float(rng.uniform(0, 0.9))
         rng.integers(1, 5), rng.integers(1, 6), rng.integers(1, 6)
         data = rng.standard_normal((60, 2)) * rng.uniform(0.5, 5)
-        cfg = TrainConfig(epochs_max=15, batch_size=20, seed=170,
+        cfg = TrainConfig(epochs_max=15, batch_size=20,
                           learning_rate_start=lr, learning_rate_end=lr,
                           momentum_start=momentum, momentum_end=momentum,
                           patience=100)
@@ -547,36 +545,35 @@ class TestTrainMatchesReference:
             return original(x, p, c, cfg)
 
         monkeypatch.setattr(cgdbm.training, "mean_field_data", watched)
-        self.check(data, (2, 5, 2), cfg)
+        self.check(data, (2, 5, 2), cfg, seed=170)
         assert any(damped)
 
     def test_one_batch_per_epoch(self, rng):
         # 45 training rows fit one batch, so each epoch's permutation is
         # drawn right after the previous epoch's only block
         data = rng.standard_normal((50, 3))
-        cfg = TrainConfig(epochs_max=5, batch_size=60, seed=9)
-        assert len(self.check(data, (3, 4, 2), cfg).log) == 5
+        cfg = TrainConfig(epochs_max=5, batch_size=60)
+        assert len(self.check(data, (3, 4, 2), cfg, seed=9).log) == 5
 
     def test_one_gibbs_step_per_batch(self, rng):
         data = rng.standard_normal((97, 3))
-        cfg = TrainConfig(epochs_max=4, batch_size=20, seed=4,
+        cfg = TrainConfig(epochs_max=4, batch_size=20,
                           gibbs_steps_per_batch=1)
-        assert len(self.check(data, (3, 5, 2), cfg).log) == 4
+        assert len(self.check(data, (3, 5, 2), cfg, seed=4).log) == 4
 
     def test_early_stopping(self, rng):
         data = np.tile(np.array([0.5, -0.25]), (40, 1))
         data = data + rng.standard_normal((40, 2)) * 1e-9
         cfg = TrainConfig(epochs_max=200, batch_size=10, patience=3,
-                          learning_rate_start=1e-6, learning_rate_end=1e-6,
-                          seed=5)
-        assert self.check(data, (2, 3, 2), cfg).stopped_early
+                          learning_rate_start=1e-6, learning_rate_end=1e-6)
+        assert self.check(data, (2, 3, 2), cfg, seed=5).stopped_early
 
     def test_divergence(self, rng):
         data = rng.standard_normal((60, 3)) * 50.0
         with pytest.raises(TrainingDiverged) as want:
-            train_reference(data, (3, 4, 2), DIVERGING)
+            train_reference(data, (3, 4, 2), DIVERGING, seed=3)
         with pytest.raises(TrainingDiverged) as got:
-            train(data, (3, 4, 2), DIVERGING)
+            train(data, (3, 4, 2), DIVERGING, seed=3)
         assert str(got.value) == str(want.value)
         assert_same_state((got.value.params, got.value.offsets),
                           (want.value.params, want.value.offsets))
@@ -588,16 +585,18 @@ class TestTrainMatchesReference:
         # interpreter switching threads every 10 us: a data phase that
         # read parameters the main thread was updating would show here
         data = rng.standard_normal((97, 3))
-        cfgs = [TrainConfig(epochs_max=3, batch_size=20, seed=s) for s in (1, 2, 3)]
+        cfg = TrainConfig(epochs_max=3, batch_size=20)
+        seeds = (1, 2, 3)
         results = {}
 
-        def run(cfg):
-            results[cfg.seed] = train(data, (3, 5, 2), cfg)
+        def run(seed):
+            results[seed] = train(data, (3, 5, 2), cfg, seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=run, args=(cfg,)) for cfg in cfgs]
+            threads = [threading.Thread(target=run, args=(seed,))
+                       for seed in seeds]
             for t in threads:
                 t.start()
             for t in threads:
@@ -605,9 +604,9 @@ class TestTrainMatchesReference:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        for cfg in cfgs:
-            want = train_reference(data, (3, 5, 2), cfg)
-            got = results[cfg.seed]
+        for seed in seeds:
+            want = train_reference(data, (3, 5, 2), cfg, seed)
+            got = results[seed]
             assert_same_state((got.params, got.offsets),
                               (want.params, want.offsets))
             assert_same_log(got.log, want.log)
@@ -619,7 +618,7 @@ class TestTrainBuffers:
 
     def test_progress_snapshots_stay_unchanged(self, rng, monkeypatch):
         data = rng.standard_normal((80, 3))
-        cfg = TrainConfig(epochs_max=4, batch_size=20, seed=7)
+        cfg = TrainConfig(epochs_max=4, batch_size=20)
         seen, copies = [], []
 
         def progress(rec, p, c, log):
@@ -635,7 +634,7 @@ class TestTrainBuffers:
             return original(chains, p, c, noise, sweep, work)
 
         monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
-        res = train(data, (3, 4, 2), cfg, progress=progress)
+        res = train(data, (3, 4, 2), cfg, seed=7, progress=progress)
         assert len(seen) == 4
         for (p, c), copy in zip(seen, copies):
             for a, b in zip(state_arrays(p, c), copy):
@@ -648,7 +647,7 @@ class TestTrainBuffers:
         data = rng.standard_normal((60, 3)) * 50.0
         seen = []
         with pytest.raises(TrainingDiverged) as exc_info:
-            train(data, (3, 4, 2), DIVERGING,
+            train(data, (3, 4, 2), DIVERGING, seed=3,
                   progress=lambda rec, p, c, log: seen.append((p, c)))
         exc = exc_info.value
         assert len(seen) == len(exc.log) == 8
@@ -672,7 +671,7 @@ class TestWorkerThread:
         before = threading.active_count()
         with pytest.raises(TrainingDiverged, match="epoch 0: injected"):
             train(rng.standard_normal((90, 3)), (3, 4, 2),
-                  TrainConfig(epochs_max=2, batch_size=20, seed=7))
+                  TrainConfig(epochs_max=2, batch_size=20), seed=7)
         assert threading.active_count() == before
 
 
@@ -690,4 +689,5 @@ class TestConfigValidation:
     def test_width_mismatch_rejected(self, rng):
         data = rng.standard_normal((30, 4))
         with pytest.raises(ShapeError):
-            train(data, (3, 4, 2), TrainConfig(epochs_max=1, batch_size=10))
+            train(data, (3, 4, 2), TrainConfig(epochs_max=1, batch_size=10),
+                  seed=0)
