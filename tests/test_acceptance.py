@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +51,14 @@ from tiny import TINY_CFG
 
 REPO = Path(__file__).resolve().parents[1]
 DESK_SEEDS = (0, 1, 2)
+
+
+def cli_env(**extra: str) -> dict[str, str]:
+    """The environment of a `python -m cgdbm.cli` child: this checkout's
+    src first on PYTHONPATH, plus `extra`."""
+    src = str(REPO / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
 
 def ok(tag: str, detail: str) -> None:
@@ -225,15 +234,25 @@ def desk_runs(tmp_path_factory):
     cfg_path = root / "desk.cfg"
     cfg_path.write_text(re.sub(r"(?m)^image_dir = .*$",
                                f"image_dir = {corpus}", text))
-    t0 = time.time()
-    summaries = {}
-    for seed in DESK_SEEDS:
+    env = cli_env()
+
+    def run_seed(seed: int) -> dict[str, float]:
+        # Each seed is its own CLI process, so the three pipelines run side
+        # by side; their artifacts do not depend on it (a10, a10b).
         args = ["--config", str(cfg_path), "--seed", str(seed),
                 "--out-dir", str(root / f"seed_{seed}")]
         for step in ("prepare", "train", "sample", "analyze"):
-            rc = cli_main([step, *args])
-            assert rc == 0, f"seed {seed}: {step} exited {rc}"
-        summaries[seed] = parse_summary(root / f"seed_{seed}" / "summary.txt")
+            proc = subprocess.run([sys.executable, "-m", "cgdbm.cli", step,
+                                   *args], env=env, capture_output=True,
+                                  text=True)
+            print(proc.stdout, end="")
+            assert proc.returncode == 0, (
+                f"seed {seed}: {step} exited {proc.returncode}: {proc.stderr}")
+        return parse_summary(root / f"seed_{seed}" / "summary.txt")
+
+    t0 = time.time()
+    with ThreadPoolExecutor(max_workers=len(DESK_SEEDS)) as pool:
+        summaries = dict(zip(DESK_SEEDS, pool.map(run_seed, DESK_SEEDS)))
     return summaries, time.time() - t0
 
 
@@ -333,13 +352,10 @@ def test_a10b_artifacts_independent_of_blas_threads(tmp_path):
         text = text.replace(old, new)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
-    src = str(REPO / "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
     def run_all(threads: str) -> dict[str, bytes]:
         out = tmp_path / f"threads_{threads}"
-        env = dict(os.environ, PYTHONPATH=pythonpath,
-                   OPENBLAS_NUM_THREADS=threads)
+        env = cli_env(OPENBLAS_NUM_THREADS=threads)
         for step in ("prepare", "train", "sample", "analyze"):
             subprocess.run([sys.executable, "-m", "cgdbm.cli", step,
                             "--config", str(cfg_path), "--out-dir", str(out)],
