@@ -53,7 +53,7 @@ def _require(path: Path, hint: str) -> Path:
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed).validate()
     return cfg
 
 

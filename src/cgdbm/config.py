@@ -27,6 +27,7 @@ import numpy as np
 from .analysis import AnalysisConfig
 from .errors import ConfigError
 from .sampling import SessionConfig
+from .stimuli import default_frequencies
 from .training import TrainConfig
 
 # fixed stage tags keep per-stage randomness independent of one another
@@ -90,6 +91,8 @@ class RunConfig:
     analysis: AnalysisConfig = AnalysisConfig()
 
     def validate(self) -> "RunConfig":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.model.L != self.data.pca_k:
             raise ConfigError(f"model L={self.model.L} must equal "
                               f"data pca_k={self.data.pca_k}")
@@ -98,6 +101,16 @@ class RunConfig:
         self.training.validate()
         self.sampling.validate()
         self.analysis.validate()
+        # what analyze needs of the earlier stages' output, checked
+        # before any stage runs
+        default_frequencies(self.data.patch_side,
+                            self.analysis.grating_frequency_count)
+        session = self.sampling
+        n_frames = (session.n_iterations // session.record_every
+                    * session.n_chains)
+        if n_frames < self.analysis.som_nodes:
+            raise ConfigError(f"the session records {n_frames} frames, fewer "
+                              f"than som_nodes={self.analysis.som_nodes}")
         return self
 
 

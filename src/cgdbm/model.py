@@ -149,60 +149,39 @@ def energy(x, y, z, p: ModelParams, c: Offsets) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """Scratch arrays for the conditionals of n states at once, shaped
-    (n, L), (n, M) and (n, N).  Passed as `work` together with an `out`
-    array, the conditionals allocate nothing; the arithmetic is the same
-    with or without them."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int, dims: tuple[int, int, int]) -> "Workspace":
-        L, M, N = dims
-        return cls(x=np.empty((n, L)), y=np.empty((n, M)), z=np.empty((n, N)))
-
-
-def cond_visible(y, p: ModelParams, c: Offsets, out=None,
-                 work: Workspace | None = None):
+def cond_visible(y, p: ModelParams, c: Offsets, out=None):
     """Gaussian conditional of the visible layer given hidden-1.
 
     Accepts a single y vector or a batch (rows).  Returns (means,
-    variances); the variances are the model's own sigma2 array, not a
-    copy, whatever y is.  Uses work.y.
+    variances); the means are written into `out` if given, and the
+    variances are the model's own sigma2 array, not a copy, whatever y
+    is.
     """
     y = np.asarray(y, dtype=np.float64)
-    yc = np.subtract(y, c.c_y, out=None if work is None else work.y)
-    means = np.matmul(yc, p.W.T, out=out)
+    means = np.matmul(y - c.c_y, p.W.T, out=out)
     means += c.c_x
     return means, p.sigma2
 
 
-def cond_hidden1(x, z, p: ModelParams, c: Offsets, out=None,
-                 work: Workspace | None = None):
+def cond_hidden1(x, z, p: ModelParams, c: Offsets, out=None):
     """P(y_j = 1 | x, z).  The bottom-up drive is variance-scaled: the
     x term enters as (x - c_x) / sigma2, which is what the energy's
-    coupling term implies.  Accepts vectors or batches.  Uses work.x,
-    work.z and work.y."""
+    coupling term implies.  Accepts vectors or batches; the result is
+    written into `out` if given."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    xs = np.subtract(x, c.c_x, out=None if work is None else work.x)
+    xs = x - c.c_x
     xs /= p.sigma2
     pre = np.matmul(xs, p.W, out=out)
-    zc = np.subtract(z, c.c_z, out=None if work is None else work.z)
-    pre += np.matmul(zc, p.U.T, out=None if work is None else work.y)
+    pre += (z - c.c_z) @ p.U.T
     pre += p.b_y
     return sigmoid(pre, out=pre)
 
 
-def cond_hidden2(y, p: ModelParams, c: Offsets, out=None,
-                 work: Workspace | None = None):
-    """P(z_k = 1 | y).  Accepts a vector or a batch.  Uses work.y."""
+def cond_hidden2(y, p: ModelParams, c: Offsets, out=None):
+    """P(z_k = 1 | y).  Accepts a vector or a batch; the result is
+    written into `out` if given."""
     y = np.asarray(y, dtype=np.float64)
-    yc = np.subtract(y, c.c_y, out=None if work is None else work.y)
-    pre = np.matmul(yc, p.U, out=out)
+    pre = np.matmul(y - c.c_y, p.U, out=out)
     pre += p.b_z
     return sigmoid(pre, out=pre)

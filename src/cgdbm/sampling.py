@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .model import ModelParams, Offsets, Workspace, check_dims, cond_hidden1
+from .model import ModelParams, Offsets, check_dims, cond_hidden1
 from .training import (GibbsNoise, PersistentChains, TrainConfig,
                        gibbs_model_step, mean_field_data, noise_blocks)
 
@@ -84,7 +84,6 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
         y=y0,
         z=np.broadcast_to(c.c_z, (cfg.n_chains, N)).copy(),
     )
-    work = Workspace.empty(cfg.n_chains, (L, M, N))
     buffers = (GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N)),
                GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N)))
     n_records = cfg.n_iterations // cfg.record_every
@@ -95,9 +94,9 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
         for rec, noise in enumerate(noise_blocks(rng, worker, buffers,
                                                  n_records)):
             for sweep in range(cfg.record_every):
-                gibbs_model_step(chains, p, c, noise, sweep, work)
+                gibbs_model_step(chains, p, c, noise, sweep)
             # Same x and z the last sweep's y was drawn from.
-            cond_hidden1(chains.x, chains.z, p, c, work=work,
+            cond_hidden1(chains.x, chains.z, p, c,
                          out=frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains])
     return frames
 

@@ -42,7 +42,6 @@ from .model import (
     SIGMA2_FLOOR,
     ModelParams,
     Offsets,
-    Workspace,
     check_dims,
     cond_hidden1,
     cond_hidden2,
@@ -307,21 +306,16 @@ def noise_blocks(rng: np.random.Generator, worker, buffers, count: int):
 
 
 def gibbs_model_step(chains: PersistentChains, p: ModelParams, c: Offsets,
-                     noise: GibbsNoise, sweep: int = 0,
-                     work: Workspace | None = None) -> PersistentChains:
+                     noise: GibbsNoise, sweep: int = 0) -> PersistentChains:
     """One Gibbs sweep of every chain, in place: top layer from y,
     visibles from y, then y from the fresh x and z, with the random
     numbers of `noise` at index `sweep`.  Each conditional is written
-    into the chain array its sample replaces, and the scaled normals go
-    through `work` (allocated if not given), so a sweep allocates no
-    batch-sized array.  Returns chains."""
-    if work is None:
-        work = Workspace.empty(chains.y.shape[0], p.dims)
-    z_prob = cond_hidden2(chains.y, p, c, out=chains.z, work=work)
+    into the chain array its sample replaces.  Returns chains."""
+    z_prob = cond_hidden2(chains.y, p, c, out=chains.z)
     np.less(noise.z[sweep], z_prob, out=chains.z)
-    means, variances = cond_visible(chains.y, p, c, out=chains.x, work=work)
-    means += np.multiply(noise.x[sweep], np.sqrt(variances), out=work.x)
-    y_prob = cond_hidden1(chains.x, chains.z, p, c, out=chains.y, work=work)
+    means, variances = cond_visible(chains.y, p, c, out=chains.x)
+    means += noise.x[sweep] * np.sqrt(variances)
+    y_prob = cond_hidden1(chains.x, chains.z, p, c, out=chains.y)
     np.less(noise.y[sweep], y_prob, out=chains.y)
     return chains
 
@@ -501,7 +495,6 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
         y=np.broadcast_to(c.c_y, (n_chains, M)).copy(),
         z=np.broadcast_to(c.c_z, (n_chains, N)).copy(),
     )
-    work = Workspace.empty(n_chains, dims)
     data_stats = GradientStats.zeros(dims)
     model_stats = GradientStats.zeros(dims)
 
@@ -534,7 +527,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
                         data_phase = worker.submit(_data_phase, batch, p, c,
                                                    cfg, data_stats)
                     for sweep in range(steps):
-                        gibbs_model_step(chains, p, c, noise, sweep, work)
+                        gibbs_model_step(chains, p, c, noise, sweep)
                     batch_gradient_stats(chains.x, chains.y, chains.z, p, c,
                                          out=model_stats)
                     mean_y, mean_z, mean_x = (
@@ -550,8 +543,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
                     np.add(p.b_z, db_z, out=p.b_z)
                     # Smooth the persistent hidden-1 state to its conditional
                     # probabilities before the next batch.
-                    cond_hidden1(chains.x, chains.z, p, c, out=chains.y,
-                                 work=work)
+                    cond_hidden1(chains.x, chains.z, p, c, out=chains.y)
                 err = reconstruction_error(p, c, val)
                 if not np.isfinite(err):
                     raise NumericError("validation reconstruction error is not finite")

@@ -186,6 +186,12 @@ def test_exit_codes(run_dir, tmp_path):
     # missing config file
     assert main(["prepare", "--config", str(tmp_path / "no.cfg"),
                  "--out-dir", str(empty)]) == 2
+    # negative seed, from the command line or the config
+    assert main(["prepare", *base, "--seed", "-1"]) == 2
+    negative = tmp_path / "negative.cfg"
+    negative.write_text(cfg.read_text().replace("seed = 11", "seed = -3"))
+    assert main(["prepare", "--config", str(negative),
+                 "--out-dir", str(empty)]) == 2
     # train before prepare
     assert main(["train", *base]) == 2
     # sample config violation: iterations not divisible by record stride

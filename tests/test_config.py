@@ -94,6 +94,12 @@ def test_defaults_when_sections_missing():
     ("[model]\nL = 42\n", "must equal"),
     ("[training]\nepochs_max = -1\n", "epochs_max"),
     ("[data]\npatch_side = 1\n", "patch_side must be at least 2"),
+    ("seed = -3\n", "seed must be nonnegative"),
+    # checks across sections, for what analyze needs
+    ("[data]\npatch_side = 3\npca_k = 9\n[model]\nL = 9\n",
+     "patch_side too small for the default frequencies"),
+    ("[sampling]\nn_chains = 5\nn_iterations = 40\n[analysis]\n"
+     "som_nodes = 40\n", "records 20 frames, fewer than som_nodes=40"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:

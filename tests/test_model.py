@@ -161,6 +161,22 @@ class TestConditionals:
             # matmul and matvec reduce in different orders
             np.testing.assert_allclose(batch[r], single, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("rows", [None, 1, 5])
+    def test_out_is_filled_and_returned(self, rng, rows):
+        # the Gibbs sweep writes each conditional into a chain array
+        p, c = random_model(rng, L=3, M=4, N=2)
+        lead = () if rows is None else (rows,)
+        x = rng.standard_normal(lead + (3,))
+        y = (rng.random(lead + (4,)) < 0.5).astype(float)
+        z = (rng.random(lead + (2,)) < 0.5).astype(float)
+        for call, shape in (
+                (lambda out=None: cond_visible(y, p, c, out=out)[0], x.shape),
+                (lambda out=None: cond_hidden1(x, z, p, c, out=out), y.shape),
+                (lambda out=None: cond_hidden2(y, p, c, out=out), z.shape)):
+            buf = np.full(shape, np.nan)
+            assert call(out=buf) is buf
+            np.testing.assert_array_equal(buf, call())
+
     @given(st.floats(-30.0, 30.0))
     @settings(max_examples=30, deadline=None)
     def test_hidden2_probability_bounds(self, b):

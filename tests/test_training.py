@@ -628,10 +628,10 @@ class TestTrainBuffers:
         buffers = []
         original = cgdbm.training.gibbs_model_step
 
-        def watched(chains, p, c, noise, sweep=0, work=None):
+        def watched(chains, p, c, noise, sweep=0):
             if not buffers:
                 buffers.extend(state_arrays(p, c))
-            return original(chains, p, c, noise, sweep, work)
+            return original(chains, p, c, noise, sweep)
 
         monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
         res = train(data, (3, 4, 2), cfg, seed=7, progress=progress)
