@@ -114,12 +114,16 @@ def _read_framed(path, magic: bytes, payload_count) -> tuple[dict[str, str], np.
 
 
 def _header_int(header: dict[str, str], key: str, path) -> int:
+    """A dimension from the header: an integer, zero or more."""
     try:
-        return int(header[key])
+        value = int(header[key])
     except KeyError:
         raise FormatError(f"{path}: missing header key {key!r}") from None
     except ValueError:
         raise FormatError(f"{path}: header key {key!r} is not an integer") from None
+    if value < 0:
+        raise FormatError(f"{path}: header key {key!r} is negative ({value})")
+    return value
 
 
 def save_model(path, p: ModelParams, c: Offsets) -> None:

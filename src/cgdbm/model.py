@@ -17,6 +17,9 @@ in `cgdbm.training.batch_gradient_stats`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +33,52 @@ SIGMA2_FLOOR = 1e-4
 _expit = None
 
 
+def _expit_extension_spec():
+    """Spec of scipy's compiled ``special/_special_ufuncs`` module, found
+    without importing scipy, or None if there is no such file."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    return importlib.machinery.PathFinder.find_spec(
+        "_special_ufuncs",
+        [os.path.join(d, "special") for d in scipy.submodule_search_locations])
+
+
+def _load_expit():
+    spec = _expit_extension_spec()
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError):
+            pass
+        else:
+            if hasattr(module, "expit"):
+                return module.expit
+    from scipy.special import expit
+    return expit
+
+
 def sigmoid(x, out=None):
     """Logistic function, elementwise: scipy's ``expit``, written into
     `out` if given.
 
-    scipy is imported on the first call rather than with this module, so
-    a process that never samples a unit does not pay for loading it.
-    Training is chaotic at the scale of one ulp, so a hand-written numpy
-    logistic, which differs from ``expit`` in the last bits, would change
-    every trained model.
+    ``expit`` is loaded on the first call rather than with this module,
+    and from the compiled module that defines it, ``_special_ufuncs``,
+    not through ``scipy.special``: the package's init pulls in numpy's
+    testing and f2py modules and costs about 0.3 s in every process that
+    samples a unit, against 2 ms for the extension alone.  The extension
+    is loaded under its own name and not entered in ``sys.modules``, so a
+    later ``import scipy.special`` (``analyze`` needs ``stdtrit``) runs
+    as it would without it.  If scipy has no such file, or loading it
+    raises ``ImportError`` or ``OSError``, or it has no ``expit``, the
+    function comes from ``scipy.special``.  Training is chaotic at the
+    scale of one ulp, so a hand-written numpy logistic, which differs
+    from ``expit`` in the last bits, would change every trained model.
     """
     global _expit
     if _expit is None:
-        from scipy.special import expit as _expit
+        _expit = _load_expit()
     return _expit(x, out=out)
 
 

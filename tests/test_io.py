@@ -206,6 +206,28 @@ def test_matrix_header_corruption_detected(rng, tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("magic, header, count, load", [
+    (cgdbm.io.MATRIX_MAGIC, {"rows": "-2", "cols": "-3"}, 6, load_matrix),
+    # implies 16 + 4 - 18 = 2 payload values
+    (cgdbm.io.MODEL_MAGIC, {"L": "-4", "M": "-4", "N": "-1"}, 2, load_model),
+], ids=["matrix", "model"])
+def test_negative_header_dimension_rejected(tmp_path, magic, header, count,
+                                            load):
+    # the payload size the negative dimensions imply is positive and the
+    # digest is valid, so only the header check can reject the file
+    path = tmp_path / "neg"
+    cgdbm.io._write_framed(path, magic, header, bytes(8 * count))
+    with pytest.raises(FormatError, match="is negative"):
+        load(path)
+
+
+def test_zero_rows_matrix_round_trip(tmp_path):
+    path = tmp_path / "x.cgmat"
+    save_matrix(path, np.zeros((0, 3)))
+    a, _ = load_matrix(path)
+    assert a.shape == (0, 3)
+
+
 def test_pgm_p5_8bit_round_trip(tmp_path):
     img = np.linspace(0.0, 1.0, 48).reshape(6, 8)
     path = tmp_path / "g.pgm"

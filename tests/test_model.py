@@ -2,11 +2,14 @@
 energy-ratio enumeration, and finite differences of the training
 gradient statistics."""
 
+import importlib.machinery
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgdbm.model
 from cgdbm.errors import DomainError, NumericError, ShapeError
 from cgdbm.model import (
     SIGMA2_FLOOR,
@@ -213,9 +216,35 @@ class TestGradients:
             np.testing.assert_allclose(g.dsigma, dsigma, rtol=1e-5, atol=1e-7)
 
 
-def test_sigmoid_is_expit_bit_for_bit(rng):
+@pytest.mark.parametrize("found", [
+    pytest.param("extension", id="extension"),
+    pytest.param(None, id="fallback"),
+    pytest.param("raise ImportError('undefined symbol')", id="fallback_import_error"),
+    pytest.param("raise OSError('file too short')", id="fallback_os_error"),
+    pytest.param("unrelated = 1", id="fallback_no_expit"),
+])
+def test_sigmoid_is_expit_bit_for_bit(rng, monkeypatch, tmp_path, found):
     from scipy.special import expit
 
+    # sigmoid loads expit again on its next call.  Every case but the
+    # first makes it fall back to scipy.special: no _special_ufuncs file
+    # is found, the one found fails to load, or it has no expit
+    monkeypatch.setattr(cgdbm.model, "_expit", None)
+    if found == "extension":
+        assert cgdbm.model._expit_extension_spec() is not None
+    else:
+        spec = None
+        if found is not None:
+            (tmp_path / "_special_ufuncs.py").write_text(found + "\n")
+            spec = importlib.machinery.PathFinder.find_spec(
+                "_special_ufuncs", [str(tmp_path)])
+        monkeypatch.setattr(cgdbm.model, "_expit_extension_spec", lambda: spec)
     x = rng.normal(size=100_000) * np.geomspace(1.0, 800.0, 100_000)
     x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan]])
-    assert np.array_equal(sigmoid(x), expit(x), equal_nan=True)
+    got = sigmoid(x)
+    if found != "extension":
+        assert cgdbm.model._expit is expit
+    assert np.array_equal(got.view(np.uint64), expit(x).view(np.uint64))
+    out = np.empty_like(x)
+    assert sigmoid(x, out=out) is out
+    assert np.array_equal(out.view(np.uint64), got.view(np.uint64))
