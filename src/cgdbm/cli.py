@@ -167,6 +167,9 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     if whitener.k != L:
         raise ShapeError(f"whitener k={whitener.k} does not match model "
                          f"L={L}")
+    if p_init.shape != (1, M):
+        raise ShapeError(f"p_init has shape {p_init.shape}, expected "
+                         f"(1, {M})")
     res = analyze(params, offsets, whitener, int(wmeta["patch_side"]),
                   float(wmeta["mean_patch_norm"]), frames, p_init[0],
                   cfg.analysis, cfg.training,

@@ -32,30 +32,14 @@ def all_binary_states(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
 
-def hidden_free_energy(y, z, p: ModelParams, c: Offsets) -> float:
-    """Free energy F(y, z) of one hidden configuration with the visible
-    layer integrated out:  exp(-F(y, z)) = integral over x of exp(-E).
+def hidden_free_energy_table(p: ModelParams, c: Offsets) -> np.ndarray:
+    """Free energy F(y, z) of every hidden configuration with the
+    visible layer integrated out, exp(-F(y, z)) = integral over x of
+    exp(-E), as a (2^M, 2^N) table:
 
     F = -1/2 m^T m / sigma2 - b_y.(y-cy) - b_z.(z-cz)
         - (y-cy)^T U (z-cz) - 1/2 sum_i log(2 pi sigma2_i)
     with m = W (y - cy).
-    """
-    L, M, N = check_dims(p, c)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if y.shape != (M,) or z.shape != (N,):
-        raise ShapeError(f"hidden state shapes {(y.shape, z.shape)} do not match ({M}, {N})")
-    yc = y - c.c_y
-    zc = z - c.c_z
-    m = p.W @ yc
-    quad = 0.5 * np.dot(m / p.sigma2, m)
-    log_norm = 0.5 * np.sum(np.log(2.0 * np.pi * p.sigma2))
-    return float(-quad - np.dot(p.b_y, yc) - np.dot(p.b_z, zc)
-                 - yc @ p.U @ zc - log_norm)
-
-
-def hidden_free_energy_table(p: ModelParams, c: Offsets) -> np.ndarray:
-    """F(y, z) over every hidden configuration, shape (2^M, 2^N).
 
     Row/column indices follow the bit order of all_binary_states.
     """

@@ -210,6 +210,8 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise FormatError(f"{path}: non-numeric PGM header") from None
+    if width < 0 or height < 0:
+        raise FormatError(f"{path}: negative PGM size {width}x{height}")
     if not (0 < maxval < 65536):
         raise FormatError(f"{path}: maxval {maxval} out of range")
 

@@ -8,9 +8,9 @@ serve as the control.
 
 A session draws from one generator seeded with the `seed` argument of
 `run_spontaneous_session`; the configuration holds no seed.  The random
-numbers of each recording interval are drawn one interval ahead on a
-worker thread (`training.noise_blocks`) while the main thread sweeps;
-the draws and their order are those of one sweep at a time.
+numbers of each recording interval are drawn as one block before its
+sweeps, on the one thread; the draws and their order are those of one
+sweep at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .model import ModelParams, Offsets, check_dims, cond_hidden1
 from .training import (GibbsNoise, PersistentChains, TrainConfig,
-                       gibbs_model_step, mean_field_data, noise_blocks)
+                       gibbs_model_step, mean_field_data)
 
 
 @dataclass(frozen=True)
@@ -84,20 +84,16 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
         y=y0,
         z=np.broadcast_to(c.c_z, (cfg.n_chains, N)).copy(),
     )
-    buffers = (GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N)),
-               GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N)))
+    noise = GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N))
     n_records = cfg.n_iterations // cfg.record_every
     frames = np.empty((n_records * cfg.n_chains, M))
-    # imported here: it costs the other stages' processes 0.6 MB
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for rec, noise in enumerate(noise_blocks(rng, worker, buffers,
-                                                 n_records)):
-            for sweep in range(cfg.record_every):
-                gibbs_model_step(chains, p, c, noise, sweep)
-            # Same x and z the last sweep's y was drawn from.
-            cond_hidden1(chains.x, chains.z, p, c,
-                         out=frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains])
+    for rec in range(n_records):
+        noise.fill(rng)
+        for sweep in range(cfg.record_every):
+            gibbs_model_step(chains, p, c, noise, sweep)
+        # Same x and z the last sweep's y was drawn from.
+        cond_hidden1(chains.x, chains.z, p, c,
+                     out=frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains])
     return frames
 
 

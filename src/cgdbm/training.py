@@ -9,17 +9,16 @@ hidden layers unchanged.
 
 Every random number of a run comes from one generator seeded with the
 `seed` argument of `train`; the configuration holds no seed.  The
-random numbers of the chains depend on nothing a sweep computes, so
-`train` draws each batch's block of them (`GibbsNoise`) one batch ahead
-on a worker thread while the main thread sweeps through the block before
-(`noise_blocks`); the sweeps only read their slice of a block.  The two
-halves of a batch do not depend on each other either: the data term
-draws no random numbers, so for large models the same worker also runs
-it while the main thread advances the chains, and then the main thread
-applies the update.  Every draw still comes from the one generator in
-the order a one-thread loop takes them.  `train` owns one set of
-parameter, offset, chain, gradient and velocity arrays and updates them
-in place.
+random numbers of the chains depend on nothing a sweep computes, and
+the data term draws none, so the two halves of a batch do not depend on
+each other.  Each batch's side task first draws the next batch's block
+of chain noise (`GibbsNoise`) and then runs this batch's data term.  For
+large models a worker thread runs that task while the main thread
+sweeps the chains through the current block; for small models it runs
+in line, on the one thread.  Then the main thread applies the update.
+Every draw comes from the one generator in the order a one-thread loop
+takes them.  `train` owns one set of parameter, offset, chain, gradient
+and velocity arrays and updates them in place.
 
 Conventions fixed here:
   - the sigma gradient acts on the standard deviations, with its own
@@ -50,14 +49,16 @@ from .model import (
 )
 
 
-# The data phase runs on a worker thread when a batch's pass through the
+# A batch's side task (the next batch's noise, then this batch's data
+# phase) runs on a worker thread when a batch's pass through the
 # couplings, batch_size * M * (L + N), has at least this many
-# multiply-adds.  The overlap pays only while BLAS, which releases the
-# interpreter lock, dominates both threads.  For small models most of the
-# time is numpy call overhead, and handing the lock back and forth costs
-# more than the overlap saves: at 100/64/16 (742k) the threaded loop took
-# more CPU time and more wall time than the plain one on a 2-vCPU host; at
-# 256/900/100 (32M) it cut the wall time by a quarter.
+# multiply-adds.  At 256/900/100 (32M), where BLAS releases the
+# interpreter lock, the overlap cut the wall time by a quarter.  Small
+# models spend their time on numpy call overhead and the two threads
+# mostly trade the lock: at 100/64/16 (742k), on an idle 2-vCPU host,
+# the worker saved 0.45 of 3.56 s of wall time for 0.9 CPU-s more, and
+# runs that share the cores, as a08's three desk runs do, have no CPU
+# time to spare.
 OVERLAP_MIN_MULTIPLY_ADDS = 4_000_000
 
 
@@ -283,28 +284,6 @@ class GibbsNoise:
         return self
 
 
-def noise_blocks(rng: np.random.Generator, worker, buffers, count: int):
-    """Yield `count` (at least one) consecutive blocks of Gibbs noise
-    from rng.  Block k+1 is drawn on `worker` (an executor) while the
-    caller sweeps through block k; `buffers` is a pair of equally shaped
-    GibbsNoise that alternate, so a block is valid until the next one is
-    taken.  Draws nothing past the count-th block, and waits for a
-    pending draw before it returns or is closed, so rng is free again
-    afterwards."""
-    pending = worker.submit(buffers[0].fill, rng)
-    try:
-        for k in range(count):
-            block = pending.result()
-            pending = (worker.submit(buffers[(k + 1) % 2].fill, rng)
-                       if k + 1 < count else None)
-            yield block
-    finally:
-        if pending is not None:
-            # only while unwinding: wait, without raising over the
-            # caller's exception
-            pending.exception()
-
-
 def gibbs_model_step(chains: PersistentChains, p: ModelParams, c: Offsets,
                      noise: GibbsNoise, sweep: int = 0) -> PersistentChains:
     """One Gibbs sweep of every chain, in place: top layer from y,
@@ -435,11 +414,15 @@ class TrainResult:
 
 
 def _data_phase(batch, p: ModelParams, c: Offsets, cfg: TrainConfig,
-                out: GradientStats):
-    """The data half of one batch: mean-field inference and the data
-    statistics (into out).  It draws no random numbers, so it can run on
-    another thread beside the chains.  Returns the batch means of y, z
-    and x."""
+                out: GradientStats, rng: np.random.Generator,
+                next_noise: GibbsNoise | None):
+    """The side task of one batch: fill next_noise from rng (the next
+    batch's chain noise; None after an epoch's last batch), then run
+    mean-field inference and the data statistics (into out).  It reads
+    nothing the chains write, so it can run on another thread beside
+    them.  Returns the batch means of y, z and x."""
+    if next_noise is not None:
+        next_noise.fill(rng)
     mf = mean_field_data(batch, p, c, cfg)
     batch_gradient_stats(batch, mf.y, mf.z, p, c, out=out)
     return mf.y.mean(axis=0), mf.z.mean(axis=0), batch.mean(axis=0)
@@ -484,8 +467,6 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
         tr = data
 
     p, c = initialize(dims, data.mean(axis=0), cfg, rng)
-    if cfg.epochs_max == 0:
-        return TrainResult(params=p, offsets=c, log=[])
 
     # Everything below is updated in place; only _snapshot copies leave.
     velocity = GradientStats.zeros(dims)
@@ -506,33 +487,38 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
 
     overlap = cfg.batch_size * M * (L + N) >= OVERLAP_MIN_MULTIPLY_ADDS
     steps = cfg.gibbs_steps_per_batch
-    buffers = (GibbsNoise.empty(steps, n_chains, dims),
-               GibbsNoise.empty(steps, n_chains, dims))
+    noise = GibbsNoise.empty(steps, n_chains, dims)
+    spare = GibbsNoise.empty(steps, n_chains, dims)
     n_batches = -(-tr.shape[0] // cfg.batch_size)
     # imported here: it costs the other stages' processes 0.6 MB
     from concurrent.futures import ThreadPoolExecutor
+    # The executor starts its thread on the first submit, so a run that
+    # never overlaps never starts one.
     with ThreadPoolExecutor(max_workers=1) as worker:
         for epoch in range(cfg.epochs_max):
             lr, momentum = anneal(cfg, epoch)
             chains.y[...] = c.c_y
             order = rng.permutation(tr.shape[0])
+            noise.fill(rng)
             gw_norms = []
             gu_norms = []
             try:
-                for k, noise in enumerate(noise_blocks(rng, worker, buffers,
-                                                       n_batches)):
+                for k in range(n_batches):
                     start = k * cfg.batch_size
                     batch = tr[order[start:start + cfg.batch_size]]
+                    # While a side task is pending, only it touches rng
+                    # and spare.
+                    side = (batch, p, c, cfg, data_stats, rng,
+                            spare if k + 1 < n_batches else None)
                     if overlap:
-                        data_phase = worker.submit(_data_phase, batch, p, c,
-                                                   cfg, data_stats)
+                        data_phase = worker.submit(_data_phase, *side)
                     for sweep in range(steps):
                         gibbs_model_step(chains, p, c, noise, sweep)
                     batch_gradient_stats(chains.x, chains.y, chains.z, p, c,
                                          out=model_stats)
                     mean_y, mean_z, mean_x = (
-                        data_phase.result() if overlap
-                        else _data_phase(batch, p, c, cfg, data_stats))
+                        data_phase.result() if overlap else _data_phase(*side))
+                    noise, spare = spare, noise
                     grad = data_stats.subtract(model_stats)
                     gw_norms.append(float(np.linalg.norm(grad.dW)))
                     gu_norms.append(float(np.linalg.norm(grad.dU)))
@@ -555,8 +541,8 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
             last_good = _snapshot(p, c)
             rec = EpochRecord(epoch=epoch, reconstruction_error=err,
                               learning_rate=lr, momentum=momentum,
-                              grad_norm_W=float(np.mean(gw_norms)) if gw_norms else 0.0,
-                              grad_norm_U=float(np.mean(gu_norms)) if gu_norms else 0.0,
+                              grad_norm_W=float(np.mean(gw_norms)),
+                              grad_norm_U=float(np.mean(gu_norms)),
                               mean_sigma=float(np.mean(np.sqrt(p.sigma2))))
             log.append(rec)
             if progress is not None:

@@ -195,6 +195,14 @@ def test_exit_codes(run_dir, tmp_path):
                  "--out-dir", str(empty)]) == 2
     # train before prepare
     assert main(["train", *base]) == 2
+    # a corpus image whose PGM header gives a negative size -> format error
+    bad_corpus = tmp_path / "bad_corpus"
+    shutil.copytree(root / "corpus", bad_corpus)
+    (bad_corpus / "negative.pgm").write_bytes(b"P5\n-3 4\n255\n" + bytes(12))
+    bad_images = tmp_path / "bad_images.cfg"
+    bad_images.write_text(TINY_CFG.format(corpus=bad_corpus))
+    assert main(["prepare", "--config", str(bad_images),
+                 "--out-dir", str(tmp_path / "bad_images")]) == 4
     # sample config violation: iterations not divisible by record stride
     assert main(["prepare", *base]) == 0
     assert main(["train", *base, "--epochs", "1"]) == 0
@@ -203,6 +211,10 @@ def test_exit_codes(run_dir, tmp_path):
                                                "n_iterations = 95"))
     assert main(["sample", "--config", str(bad_cfg),
                  "--out-dir", str(empty)]) == 2
+    # p_init without its one row, under a valid digest -> shape error
+    assert main(["sample", *base]) == 0
+    save_matrix(empty / "p_init.cgmat", np.zeros((0, 12)))
+    assert main(["analyze", *base]) == 2
     # corrupted model file -> format error
     blob = bytearray((empty / "model.cgdbm").read_bytes())
     blob[-3] ^= 0xFF

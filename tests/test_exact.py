@@ -8,7 +8,6 @@ from cgdbm.errors import DomainError
 from cgdbm.exact import (
     all_binary_states,
     brute_force_hidden_marginal,
-    hidden_free_energy,
     hidden_free_energy_table,
     log_likelihood,
     log_partition,
@@ -48,29 +47,23 @@ class TestBinaryEnumeration:
 
 class TestHiddenFreeEnergy:
     def test_zero_model_gaussian_normalizer(self):
-        # Everything zero, unit variance: F = -0.5 log(2 pi).
+        # Everything zero, unit variance: F = -0.5 log(2 pi) in every state.
         p = ModelParams(W=[[0.0]], U=[[0.0]], b_y=[0.0], b_z=[0.0], sigma2=[1.0])
         c = Offsets(c_x=[0.0], c_y=[0.0], c_z=[0.0])
-        f = hidden_free_energy([0.0], [0.0], p, c)
-        assert f == pytest.approx(-0.9189385332046727, abs=1e-12)
+        table = hidden_free_energy_table(p, c)
+        assert table.shape == (2, 2)
+        for f in table.ravel():
+            assert f == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_matches_quadrature(self, rng):
+        states = all_binary_states(2)
         for _ in range(8):
             p, c = random_model(rng, L=1, M=2, N=2)
-            y = (rng.random(2) < 0.5).astype(float)
-            z = (rng.random(2) < 0.5).astype(float)
-            want = quad_free_energy(y, z, p, c)
-            assert hidden_free_energy(y, z, p, c) == pytest.approx(want, rel=1e-6)
-
-    def test_table_matches_scalar_calls(self, rng):
-        p, c = random_model(rng, L=2, M=2, N=2)
-        table = hidden_free_energy_table(p, c)
-        ys = all_binary_states(2)
-        zs = all_binary_states(2)
-        for iy in range(4):
-            for iz in range(4):
-                assert table[iy, iz] == pytest.approx(
-                    hidden_free_energy(ys[iy], zs[iz], p, c), rel=1e-12)
+            table = hidden_free_energy_table(p, c)
+            for iy, y in enumerate(states):
+                for iz, z in enumerate(states):
+                    want = quad_free_energy(y, z, p, c)
+                    assert table[iy, iz] == pytest.approx(want, rel=1e-6)
 
 
 class TestHiddenMarginal:

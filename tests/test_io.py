@@ -261,6 +261,16 @@ def test_pgm_truncated_raster_rejected(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\n-3 -4\n255\n",
+                                    b"P2\n-3 -4\n255\n",
+                                    b"P5\n-3 4\n255\n"])
+def test_pgm_negative_size_rejected(tmp_path, header):
+    path = tmp_path / "n.pgm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(FormatError, match="negative PGM size"):
+        read_pgm(path)
+
+
 def test_format_float_round_trips_doubles(rng):
     for x in rng.normal(size=20):
         assert float(format_float(float(x))) == float(x)

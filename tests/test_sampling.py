@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import cgdbm.sampling
 from cgdbm.errors import ConfigError, ShapeError
 from cgdbm.exact import all_binary_states, brute_force_hidden_marginal
 from cgdbm.model import ModelParams, Offsets
@@ -42,7 +43,7 @@ class TestSpontaneousSession:
         np.testing.assert_array_equal(a, b)
 
     def test_frames_equal_reference_sweep(self, rng):
-        # the in-place sweep on noise drawn ahead computes exactly what
+        # the in-place sweep on a block of noise computes exactly what
         # the allocating one drawing as it goes does: with several
         # recordings, a recording after every sweep, and one recording
         p, c = random_model(rng, 4, 5, 3)
@@ -55,12 +56,22 @@ class TestSpontaneousSession:
                 session_reference(p, c, p_init, cfg.n_chains,
                                   cfg.n_iterations, cfg.record_every, 8))
 
-    def test_worker_thread_ends_with_the_session(self, rng):
+    def test_worker_thread_ends_with_the_session(self, rng, monkeypatch):
+        # no thread runs beside the sweeps, and none is left behind
         p, c = random_model(rng, 2, 3, 2)
+        counts = []
+        original = cgdbm.sampling.gibbs_model_step
+
+        def watched(*args):
+            counts.append(threading.active_count())
+            return original(*args)
+
+        monkeypatch.setattr(cgdbm.sampling, "gibbs_model_step", watched)
         before = threading.active_count()
         run_spontaneous_session(p, c, np.full(3, 0.5),
                                 SessionConfig(n_chains=4, n_iterations=20,
                                               record_every=5), seed=3)
+        assert counts and set(counts) == {before}
         assert threading.active_count() == before
 
     def test_seed_changes_frames(self, rng):

@@ -2,8 +2,6 @@
 
 import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import numpy as np
@@ -25,7 +23,6 @@ from cgdbm.training import (
     gibbs_model_step,
     initialize,
     mean_field_data,
-    noise_blocks,
     reconstruction_error,
     train,
     update_offsets,
@@ -195,58 +192,18 @@ class TestNoiseBlocks:
         return (rng.random((n, N)), rng.standard_normal((n, L)),
                 rng.random((n, M)))
 
-    def blocks(self, rng, count, taken=None):
-        """Copies of the blocks noise_blocks yields, closing it after
-        `taken` of them; returns them and rng's state right after."""
-        buffers = (GibbsNoise.empty(3, 5, self.DIMS),
-                   GibbsNoise.empty(3, 5, self.DIMS))
-        got = []
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            blocks = noise_blocks(rng, worker, buffers, count)
-            for block in blocks:
-                got.append(tuple(a.copy() for a in (block.z, block.x, block.y)))
-                if len(got) == taken:
-                    blocks.close()
-                    break
-            state = rng.bit_generator.state
-        return got, state
-
     def test_blocks_equal_per_sweep_draws(self):
-        got, state = self.blocks(np.random.default_rng(12), count=4)
+        rng = np.random.default_rng(12)
         ref = np.random.default_rng(12)
-        assert len(got) == 4
-        for z, x, y in got:
+        noise = GibbsNoise.empty(3, 5, self.DIMS)
+        for _ in range(4):
+            noise.fill(rng)
             for sweep in range(3):
                 want = self.sweep_draws(ref, 5, self.DIMS)
-                for a, b in zip((z[sweep], x[sweep], y[sweep]), want):
+                for a, b in zip((noise.z[sweep], noise.x[sweep],
+                                 noise.y[sweep]), want):
                     np.testing.assert_array_equal(a, b)
-        assert state == ref.bit_generator.state
-
-    def test_closing_early_waits_for_the_pending_draw(self):
-        # one block taken while the next one draws slowly: closing the
-        # helper returns only once that draw is done, and draws no more
-        class SlowAfterFirstBlock:
-            def __init__(self, rng):
-                self.rng = rng
-                self.bit_generator = rng.bit_generator
-                self.uniform_calls = 0
-
-            def random(self, out):
-                self.uniform_calls += 1
-                if self.uniform_calls > 2 * 3:
-                    time.sleep(0.05)
-                return self.rng.random(out=out)
-
-            def standard_normal(self, out):
-                return self.rng.standard_normal(out=out)
-
-        got, state = self.blocks(
-            SlowAfterFirstBlock(np.random.default_rng(5)), count=4, taken=1)
-        ref = np.random.default_rng(5)
-        for _ in range(2 * 3):
-            self.sweep_draws(ref, 5, self.DIMS)
-        assert len(got) == 1
-        assert state == ref.bit_generator.state
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestApplyUpdates:
@@ -496,11 +453,26 @@ class TestTrainMatchesReference:
     """train() (in-place buffers, data phase on the worker thread or in
     line) against the allocating single-threaded loop, bit for bit."""
 
+    @pytest.fixture(autouse=True)
+    def sweep_threads(self, monkeypatch, data_phase_on):
+        """Record the number of live threads at each sweep of train()."""
+        self.mode = data_phase_on
+        self.counts = []
+        original = cgdbm.training.gibbs_model_step
+
+        def watched(*args):
+            self.counts.append(threading.active_count())
+            return original(*args)
+
+        monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
+
     def check(self, data, dims, cfg, seed):
         want = train_reference(data, dims, cfg, seed)
         threads = threading.active_count()
         got = train(data, dims, cfg, seed)
-        # the worker thread ends with train, early stop or not
+        # a worker runs beside the sweeps only when the data phase is
+        # on it, and it ends with train, early stop or not
+        assert set(self.counts) == {threads + (self.mode == "thread")}
         assert threading.active_count() == threads
         assert_same_state((got.params, got.offsets), (want.params, want.offsets))
         assert_same_log(got.log, want.log)
@@ -659,8 +631,8 @@ class TestWorkerThread:
     """train() leaves no thread behind when it raises."""
 
     def test_divergence_with_a_block_pending(self, rng, monkeypatch):
-        # the update of the first of five batches fails after the
-        # second batch's block was handed to the worker
+        # the update of the first of five batches fails after its side
+        # task drew the second batch's block
         original = cgdbm.training.apply_updates
 
         def failing(*args):
