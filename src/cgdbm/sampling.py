@@ -8,9 +8,9 @@ serve as the control.
 
 A session draws from one generator seeded with the `seed` argument of
 `run_spontaneous_session`; the configuration holds no seed.  The random
-numbers of each recording interval are drawn as one block before its
-sweeps, on the one thread; the draws and their order are those of one
-sweep at a time.
+numbers of each recording interval are drawn as one block, the next one
+on a worker thread while the main thread sweeps through the current
+one; the draws and their order are those of one sweep at a time.
 """
 
 from __future__ import annotations
@@ -85,15 +85,26 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
         z=np.broadcast_to(c.c_z, (cfg.n_chains, N)).copy(),
     )
     noise = GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N))
+    spare = GibbsNoise.empty(cfg.record_every, cfg.n_chains, (L, M, N))
     n_records = cfg.n_iterations // cfg.record_every
     frames = np.empty((n_records * cfg.n_chains, M))
-    for rec in range(n_records):
-        noise.fill(rng)
-        for sweep in range(cfg.record_every):
-            gibbs_model_step(chains, p, c, noise, sweep)
-        # Same x and z the last sweep's y was drawn from.
-        cond_hidden1(chains.x, chains.z, p, c,
-                     out=frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains])
+    noise.fill(rng)
+    # imported here: it costs the other stages' processes 0.6 MB
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for rec in range(n_records):
+            # While the next block is drawn, only the worker touches rng
+            # and spare.
+            drawn = (worker.submit(spare.fill, rng)
+                     if rec + 1 < n_records else None)
+            for sweep in range(cfg.record_every):
+                gibbs_model_step(chains, p, c, noise, sweep)
+            # Same x and z the last sweep's y was drawn from.
+            cond_hidden1(chains.x, chains.z, p, c,
+                         out=frames[rec * cfg.n_chains:(rec + 1) * cfg.n_chains])
+            if drawn is not None:
+                drawn.result()
+            noise, spare = spare, noise
     return frames
 
 

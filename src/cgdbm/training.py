@@ -9,13 +9,12 @@ hidden layers unchanged.
 
 Every random number of a run comes from one generator seeded with the
 `seed` argument of `train`; the configuration holds no seed.  The
-random numbers of the chains depend on nothing a sweep computes, and
-the data term draws none, so the two halves of a batch do not depend on
-each other.  Each batch's side task first draws the next batch's block
-of chain noise (`GibbsNoise`) and then runs this batch's data term.  For
-large models a worker thread runs that task while the main thread
-sweeps the chains through the current block; for small models it runs
-in line, on the one thread.  Then the main thread applies the update.
+random numbers of the chains depend on nothing a sweep computes, so a
+worker thread draws the next batch's block of them (`GibbsNoise`) while
+the main thread sweeps the chains through the current block.  The two
+halves of a batch do not depend on each other either: the data term
+draws no random numbers, so for large models the same worker also runs
+it beside the chains, and then the main thread applies the update.
 Every draw comes from the one generator in the order a one-thread loop
 takes them.  `train` owns one set of parameter, offset, chain, gradient
 and velocity arrays and updates them in place.
@@ -49,16 +48,14 @@ from .model import (
 )
 
 
-# A batch's side task (the next batch's noise, then this batch's data
-# phase) runs on a worker thread when a batch's pass through the
-# couplings, batch_size * M * (L + N), has at least this many
-# multiply-adds.  At 256/900/100 (32M), where BLAS releases the
-# interpreter lock, the overlap cut the wall time by a quarter.  Small
-# models spend their time on numpy call overhead and the two threads
-# mostly trade the lock: at 100/64/16 (742k), on an idle 2-vCPU host,
-# the worker saved 0.45 of 3.56 s of wall time for 0.9 CPU-s more, and
-# runs that share the cores, as a08's three desk runs do, have no CPU
-# time to spare.
+# The data phase runs on the worker thread, after the draw of the next
+# batch's noise, when a batch's pass through the couplings,
+# batch_size * M * (L + N), has at least this many multiply-adds.  The
+# overlap pays only while BLAS, which releases the interpreter lock,
+# dominates both threads: at 256/900/100 (32M) it cut the wall time by a
+# quarter.  At 100/64/16 (742k) most of the time is numpy call overhead,
+# and with the data phase on the worker a desk training took 6% longer
+# on a 2-vCPU host.
 OVERLAP_MIN_MULTIPLY_ADDS = 4_000_000
 
 
@@ -414,15 +411,11 @@ class TrainResult:
 
 
 def _data_phase(batch, p: ModelParams, c: Offsets, cfg: TrainConfig,
-                out: GradientStats, rng: np.random.Generator,
-                next_noise: GibbsNoise | None):
-    """The side task of one batch: fill next_noise from rng (the next
-    batch's chain noise; None after an epoch's last batch), then run
-    mean-field inference and the data statistics (into out).  It reads
-    nothing the chains write, so it can run on another thread beside
-    them.  Returns the batch means of y, z and x."""
-    if next_noise is not None:
-        next_noise.fill(rng)
+                out: GradientStats):
+    """The data half of one batch: mean-field inference and the data
+    statistics (into out).  It draws no random numbers, so it can run on
+    another thread beside the chains.  Returns the batch means of y, z
+    and x."""
     mf = mean_field_data(batch, p, c, cfg)
     batch_gradient_stats(batch, mf.y, mf.z, p, c, out=out)
     return mf.y.mean(axis=0), mf.z.mean(axis=0), batch.mean(axis=0)
@@ -492,8 +485,6 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
     n_batches = -(-tr.shape[0] // cfg.batch_size)
     # imported here: it costs the other stages' processes 0.6 MB
     from concurrent.futures import ThreadPoolExecutor
-    # The executor starts its thread on the first submit, so a run that
-    # never overlaps never starts one.
     with ThreadPoolExecutor(max_workers=1) as worker:
         for epoch in range(cfg.epochs_max):
             lr, momentum = anneal(cfg, epoch)
@@ -506,18 +497,22 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
                 for k in range(n_batches):
                     start = k * cfg.batch_size
                     batch = tr[order[start:start + cfg.batch_size]]
-                    # While a side task is pending, only it touches rng
-                    # and spare.
-                    side = (batch, p, c, cfg, data_stats, rng,
-                            spare if k + 1 < n_batches else None)
+                    # While the next block is drawn, only the worker
+                    # touches rng and spare.
+                    drawn = (worker.submit(spare.fill, rng)
+                             if k + 1 < n_batches else None)
                     if overlap:
-                        data_phase = worker.submit(_data_phase, *side)
+                        data_phase = worker.submit(_data_phase, batch, p, c,
+                                                   cfg, data_stats)
                     for sweep in range(steps):
                         gibbs_model_step(chains, p, c, noise, sweep)
                     batch_gradient_stats(chains.x, chains.y, chains.z, p, c,
                                          out=model_stats)
                     mean_y, mean_z, mean_x = (
-                        data_phase.result() if overlap else _data_phase(*side))
+                        data_phase.result() if overlap
+                        else _data_phase(batch, p, c, cfg, data_stats))
+                    if drawn is not None:
+                        drawn.result()
                     noise, spare = spare, noise
                     grad = data_stats.subtract(model_stats)
                     gw_norms.append(float(np.linalg.norm(grad.dW)))

@@ -18,12 +18,21 @@ from oracles import quad_hidden_marginal, random_model, total_variation
 
 
 def quad_free_energy(y, z, p, c):
-    """-log integral over x of exp(-E), for L=1, via adaptive quadrature."""
-    def integrand(xv):
-        return np.exp(-energy([xv], y, z, p, c)[0])
-    sigma = float(np.sqrt(p.sigma2[0]))
-    mean = float(c.c_x[0] + p.W[0] @ (np.asarray(y) - c.c_y))
-    val, _ = quad(integrand, mean - 14 * sigma, mean + 14 * sigma, limit=200)
+    """-log integral over x of exp(-E), for L=1 by adaptive quadrature,
+    for L=2 by the trapezoid rule on a 401 x 401 grid (for a Gaussian
+    integrand, exact to rounding at this spacing)."""
+    sigma = np.sqrt(p.sigma2)
+    mean = c.c_x + p.W @ (np.asarray(y) - c.c_y)
+    lo, hi = mean - 14 * sigma, mean + 14 * sigma
+    if len(mean) == 1:
+        val, _ = quad(lambda x0: np.exp(-energy([x0], y, z, p, c)[0]),
+                      lo[0], hi[0], limit=200)
+    else:
+        g0, g1 = np.linspace(lo[0], hi[0], 401), np.linspace(lo[1], hi[1], 401)
+        xs = np.stack(np.meshgrid(g0, g1, indexing="ij"), axis=-1).reshape(-1, 2)
+        n = len(xs)
+        vals = np.exp(-energy(xs, np.tile(y, (n, 1)), np.tile(z, (n, 1)), p, c))
+        val = np.trapezoid(np.trapezoid(vals.reshape(401, 401), g1), g0)
     return -np.log(val)
 
 
@@ -47,21 +56,26 @@ class TestBinaryEnumeration:
 
 class TestHiddenFreeEnergy:
     def test_zero_model_gaussian_normalizer(self):
-        # Everything zero, unit variance: F = -0.5 log(2 pi) in every state.
-        p = ModelParams(W=[[0.0]], U=[[0.0]], b_y=[0.0], b_z=[0.0], sigma2=[1.0])
-        c = Offsets(c_x=[0.0], c_y=[0.0], c_z=[0.0])
-        table = hidden_free_energy_table(p, c)
-        assert table.shape == (2, 2)
-        for f in table.ravel():
-            assert f == pytest.approx(-0.9189385332046727, abs=1e-12)
+        # Everything but sigma2 zero: F = -1/2 sum log(2 pi sigma2) in
+        # every state, for one visible unit and for two unequal ones.
+        for sigma2, want in (([1.0], -0.9189385332046727),
+                             ([0.5, 3.0], -2.0406096204634276)):
+            L = len(sigma2)
+            p = ModelParams(W=np.zeros((L, 1)), U=[[0.0]], b_y=[0.0],
+                            b_z=[0.0], sigma2=sigma2)
+            c = Offsets(c_x=np.zeros(L), c_y=[0.0], c_z=[0.0])
+            table = hidden_free_energy_table(p, c)
+            assert table.shape == (2, 2)
+            for f in table.ravel():
+                assert f == pytest.approx(want, abs=1e-12)
 
     def test_matches_quadrature(self, rng):
-        states = all_binary_states(2)
-        for _ in range(8):
-            p, c = random_model(rng, L=1, M=2, N=2)
+        # every entry, for one visible unit and for two unequal ones
+        for L, N in [(1, 2)] * 8 + [(2, 1)] * 2:
+            p, c = random_model(rng, L=L, M=2, N=N)
             table = hidden_free_energy_table(p, c)
-            for iy, y in enumerate(states):
-                for iz, z in enumerate(states):
+            for iy, y in enumerate(all_binary_states(2)):
+                for iz, z in enumerate(all_binary_states(N)):
                     want = quad_free_energy(y, z, p, c)
                     assert table[iy, iz] == pytest.approx(want, rel=1e-6)
 

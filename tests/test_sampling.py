@@ -43,7 +43,7 @@ class TestSpontaneousSession:
         np.testing.assert_array_equal(a, b)
 
     def test_frames_equal_reference_sweep(self, rng):
-        # the in-place sweep on a block of noise computes exactly what
+        # the in-place sweep on noise drawn ahead computes exactly what
         # the allocating one drawing as it goes does: with several
         # recordings, a recording after every sweep, and one recording
         p, c = random_model(rng, 4, 5, 3)
@@ -57,7 +57,7 @@ class TestSpontaneousSession:
                                   cfg.n_iterations, cfg.record_every, 8))
 
     def test_worker_thread_ends_with_the_session(self, rng, monkeypatch):
-        # no thread runs beside the sweeps, and none is left behind
+        # one worker runs beside the sweeps, and none is left behind
         p, c = random_model(rng, 2, 3, 2)
         counts = []
         original = cgdbm.sampling.gibbs_model_step
@@ -71,7 +71,7 @@ class TestSpontaneousSession:
         run_spontaneous_session(p, c, np.full(3, 0.5),
                                 SessionConfig(n_chains=4, n_iterations=20,
                                               record_every=5), seed=3)
-        assert counts and set(counts) == {before}
+        assert counts and set(counts) == {before + 1}
         assert threading.active_count() == before
 
     def test_seed_changes_frames(self, rng):

@@ -466,13 +466,13 @@ class TestTrainMatchesReference:
 
         monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
 
-    def check(self, data, dims, cfg, seed):
+    def check(self, data, dims, cfg, seed, worker=True):
         want = train_reference(data, dims, cfg, seed)
         threads = threading.active_count()
         got = train(data, dims, cfg, seed)
-        # a worker runs beside the sweeps only when the data phase is
-        # on it, and it ends with train, early stop or not
-        assert set(self.counts) == {threads + (self.mode == "thread")}
+        # a worker runs beside the sweeps unless it has nothing to do,
+        # and it ends with train, early stop or not
+        assert set(self.counts) == {threads + worker}
         assert threading.active_count() == threads
         assert_same_state((got.params, got.offsets), (want.params, want.offsets))
         assert_same_log(got.log, want.log)
@@ -522,10 +522,13 @@ class TestTrainMatchesReference:
 
     def test_one_batch_per_epoch(self, rng):
         # 45 training rows fit one batch, so each epoch's permutation is
-        # drawn right after the previous epoch's only block
+        # drawn right after the previous epoch's only block, no block is
+        # drawn ahead, and with the data phase in line no worker starts
         data = rng.standard_normal((50, 3))
         cfg = TrainConfig(epochs_max=5, batch_size=60)
-        assert len(self.check(data, (3, 4, 2), cfg, seed=9).log) == 5
+        res = self.check(data, (3, 4, 2), cfg, seed=9,
+                         worker=self.mode == "thread")
+        assert len(res.log) == 5
 
     def test_one_gibbs_step_per_batch(self, rng):
         data = rng.standard_normal((97, 3))
@@ -631,8 +634,8 @@ class TestWorkerThread:
     """train() leaves no thread behind when it raises."""
 
     def test_divergence_with_a_block_pending(self, rng, monkeypatch):
-        # the update of the first of five batches fails after its side
-        # task drew the second batch's block
+        # the update of the first of five batches fails after the
+        # worker drew the second batch's block
         original = cgdbm.training.apply_updates
 
         def failing(*args):
