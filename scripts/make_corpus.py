@@ -6,10 +6,8 @@ canvas) that carry oriented edge structure at all angles.
 """
 
 import argparse
-from pathlib import Path
 
-from cgdbm.io import write_pgm
-from cgdbm.synth import make_corpus
+from cgdbm.synth import write_corpus
 
 
 def main() -> int:
@@ -21,13 +19,10 @@ def main() -> int:
     ap.add_argument("--shapes", type=int, default=220,
                     help="ellipses per image")
     args = ap.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    images = make_corpus(args.n_images, args.side, args.seed,
-                         n_shapes=args.shapes)
-    for i, img in enumerate(images):
-        write_pgm(out / f"scene_{i:03d}.pgm", img, maxval=65535)
-    print(f"wrote {len(images)} images of {args.side}x{args.side} to {out}")
+    write_corpus(args.out, args.n_images, args.side, args.seed,
+                 n_shapes=args.shapes)
+    print(f"wrote {args.n_images} images of {args.side}x{args.side} "
+          f"to {args.out}")
     return 0
 
 

@@ -1,29 +1,45 @@
 #!/usr/bin/env python3
 """Run the full desk-scale pipeline end to end for one or more seeds.
 
-Builds a synthetic corpus if the configured image directory is missing,
-then drives prepare, train, sample, analyze, and report through the CLI.
-Each seed gets its own artifact directory (seed_<N>/ under --out).
+Builds a synthetic corpus if the configured image directory is missing.
+All seeds then run at the same time, each in seed_<N>/ under --out, one
+`python -m cgdbm.cli` process per stage; their stdout is printed grouped
+by seed.  Exits 1 if a seed fails, 2 on a bad config or a repeated seed.
 """
 
 import argparse
+import subprocess
 import sys
-import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
-from cgdbm.cli import main as cgdbm_main
 from cgdbm.config import load_config
-from cgdbm.io import write_pgm
-from cgdbm.synth import make_corpus
+from cgdbm.errors import ConfigError
+from cgdbm.synth import write_corpus
 
 
-def ensure_corpus(image_dir: Path, seed: int = 0) -> None:
+def ensure_corpus(image_dir: Path) -> None:
     if image_dir.is_dir() and any(image_dir.iterdir()):
         return
-    image_dir.mkdir(parents=True, exist_ok=True)
-    for i, img in enumerate(make_corpus(12, 128, seed, n_shapes=220)):
-        write_pgm(image_dir / f"scene_{i:03d}.pgm", img, maxval=65535)
+    write_corpus(image_dir, 12, 128, seed=0, n_shapes=220)
     print(f"built synthetic corpus in {image_dir}")
+
+
+def run_seed(config: str, out: str, seed: int) -> tuple[str, str | None]:
+    """One seed's pipeline: its stdout, and a failure message or None."""
+    out_dir = str(Path(out) / f"seed_{seed}")
+    base = ["--config", config, "--out-dir", out_dir, "--seed", str(seed)]
+    stdout = ""
+    for step in ("prepare", "train", "sample", "analyze", "report"):
+        args = base if step != "report" else ["--out-dir", out_dir]
+        proc = subprocess.run([sys.executable, "-m", "cgdbm.cli", step, *args],
+                              capture_output=True, text=True)
+        stdout += proc.stdout
+        if proc.returncode != 0:
+            return stdout, (f"seed {seed}: {step} exited {proc.returncode}: "
+                            f"{proc.stderr}")
+    return stdout, None
 
 
 def main() -> int:
@@ -32,24 +48,23 @@ def main() -> int:
     ap.add_argument("--out", default="desk_runs")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = ap.parse_args()
-    cfg = load_config(args.config)
+    if len(set(args.seeds)) < len(args.seeds):
+        ap.error("a seed is repeated in --seeds")
+    try:
+        cfg = load_config(args.config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ensure_corpus(Path(cfg.data.image_dir))
-    failures = 0
-    for seed in args.seeds:
-        out_dir = Path(args.out) / f"seed_{seed}"
-        base = ["--config", args.config, "--out-dir", str(out_dir),
-                "--seed", str(seed)]
-        t0 = time.time()
-        for step in ("prepare", "train", "sample", "analyze"):
-            rc = cgdbm_main([step, *base])
-            if rc != 0:
-                print(f"seed {seed}: {step} failed with exit code {rc}")
-                failures += 1
-                break
-        else:
-            cgdbm_main(["report", "--out-dir", str(out_dir)])
-            print(f"seed {seed}: completed in {time.time() - t0:.1f}s")
-    return 1 if failures else 0
+    failed = False
+    with ThreadPoolExecutor(max_workers=len(args.seeds)) as pool:
+        runs = pool.map(partial(run_seed, args.config, args.out), args.seeds)
+        for stdout, failure in runs:
+            print(stdout, end="", flush=True)
+            if failure is not None:
+                print(failure, file=sys.stderr, flush=True)
+                failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -276,15 +276,14 @@ def train_som(frames, cfg: AnalysisConfig, seed: int) -> SomModel:
 
 
 def correlate_som(som: SomModel, map_set: OrientationMapSet,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per node: index of the best-correlated orientation map, the r
-    value there, and the full node-by-map r matrix.  Constant nodes get
-    r = 0 everywhere."""
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: index of the best-correlated orientation map and the r
+    value there.  Constant nodes get r = 0 everywhere."""
     if som.nodes.shape[1] != map_set.width:
         raise ShapeError("node width does not match map width")
     r = _row_correlations(som.nodes, map_set.maps)
     best = np.argmax(r, axis=1)
-    return best, r[np.arange(som.n_nodes), best], r
+    return best, r[np.arange(som.n_nodes), best]
 
 
 # --- filter summaries -------------------------------------------------------
@@ -407,7 +406,7 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
     ctrl_rep = correlate(control, map_set, threshold)
 
     som = train_som(frames, cfg, som_seed)
-    som_best, som_best_r, _ = correlate_som(som, map_set)
+    som_best, som_best_r = correlate_som(som, map_set)
     osi = orientation_selectivity(map_set)
 
     filters = first_layer_filters(params, whitener)

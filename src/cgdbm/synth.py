@@ -10,9 +10,12 @@ loader.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .errors import ConfigError
+from .io import write_pgm
 
 
 def dead_leaves_image(side: int, rng: np.random.Generator,
@@ -51,3 +54,12 @@ def make_corpus(n_images: int, side: int, seed: int,
         raise ConfigError("n_images must be positive")
     rng = np.random.default_rng(seed)
     return [dead_leaves_image(side, rng, n_shapes) for _ in range(n_images)]
+
+
+def write_corpus(directory, n_images: int, side: int, seed: int,
+                 n_shapes: int = 60) -> None:
+    """Write `make_corpus`'s scenes into directory as 16-bit scene_NNN.pgm."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for i, img in enumerate(make_corpus(n_images, side, seed, n_shapes)):
+        write_pgm(directory / f"scene_{i:03d}.pgm", img, maxval=65535)

@@ -13,6 +13,10 @@ import numpy as np
 from .errors import ShapeError
 from .io import open_atomic, write_pgm
 
+PAD = 1         # gap between tiles and around the grid, in pixels
+GAP_GRAY = 0.5  # gray level of the gaps
+SVG_SCALE = 8   # screen pixels per montage pixel in the SVG pages
+
 
 def normalize_tile(img: np.ndarray) -> np.ndarray:
     """Min-max normalize to [0, 1]; constant tiles become flat 0.5."""
@@ -23,10 +27,9 @@ def normalize_tile(img: np.ndarray) -> np.ndarray:
     return (a - lo) / (hi - lo)
 
 
-def montage(tiles, cols: int, pad: int = 1, gap_gray: float = 0.5,
-            normalize: bool = True) -> np.ndarray:
-    """Lay equal-sized 2-d tiles on a grid, row-major, with a uniform
-    gap between them.  Missing cells in the last row stay gap-colored."""
+def montage(tiles, cols: int) -> np.ndarray:
+    """Lay equal-sized 2-d tiles, min-max normalized, on a grid, row-major,
+    with a uniform gap between them.  Missing cells stay gap-colored."""
     tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
     if not tiles:
         raise ShapeError("montage needs at least one tile")
@@ -36,18 +39,18 @@ def montage(tiles, cols: int, pad: int = 1, gap_gray: float = 0.5,
     if cols < 1:
         raise ShapeError("cols must be positive")
     rows = -(-len(tiles) // cols)
-    out = np.full((rows * h + (rows + 1) * pad,
-                   cols * w + (cols + 1) * pad), gap_gray)
+    out = np.full((rows * h + (rows + 1) * PAD,
+                   cols * w + (cols + 1) * PAD), GAP_GRAY)
     for i, t in enumerate(tiles):
         r, c = divmod(i, cols)
-        y = pad + r * (h + pad)
-        x = pad + c * (w + pad)
-        out[y:y + h, x:x + w] = normalize_tile(t) if normalize else t
+        y = PAD + r * (h + PAD)
+        x = PAD + c * (w + PAD)
+        out[y:y + h, x:x + w] = normalize_tile(t)
     return out
 
 
-def save_montage_pgm(path, tiles, cols: int, **kw) -> None:
-    write_pgm(path, montage(tiles, cols, **kw))
+def save_montage_pgm(path, tiles, cols: int) -> None:
+    write_pgm(path, montage(tiles, cols))
 
 
 # --- minimal PNG writer -----------------------------------------------------
@@ -72,21 +75,20 @@ def png_gray_bytes(img) -> bytes:
 
 # --- SVG montage ------------------------------------------------------------
 
-def save_svg_montage(path, tiles, cols: int, labels=None, title: str = "",
-                     scale: int = 8, pad: int = 1) -> None:
+def save_svg_montage(path, tiles, cols: int, labels=None,
+                     title: str = "") -> None:
     """One SVG page: the montage as an embedded pixel-exact PNG, an
     optional title, and optional per-tile labels beneath each tile."""
-    tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
-    grid = montage(tiles, cols, pad=pad)
+    grid = montage(tiles, cols)
     if labels is not None and len(labels) != len(tiles):
         raise ShapeError("one label per tile required")
     png = base64.b64encode(png_gray_bytes(grid)).decode("ascii")
     gh, gw = grid.shape
-    tw = tiles[0].shape[1]
+    tw = np.shape(tiles[0])[1]
     top = 24 if title else 0
     label_h = 14 if labels is not None else 0
-    width = gw * scale
-    height = gh * scale + top + label_h * (-(-len(tiles) // cols))
+    width = gw * SVG_SCALE
+    height = gh * SVG_SCALE + top + label_h * (-(-len(tiles) // cols))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -96,7 +98,7 @@ def save_svg_montage(path, tiles, cols: int, labels=None, title: str = "",
         lines.append(f'<text x="4" y="16" font-family="monospace" '
                      f'font-size="13">{title}</text>')
     lines.append(
-        f'<image x="0" y="{top}" width="{gw * scale}" height="{gh * scale}" '
+        f'<image x="0" y="{top}" width="{width}" height="{gh * SVG_SCALE}" '
         f'style="image-rendering:pixelated" '
         f'xlink:href="data:image/png;base64,{png}" '
         f'xmlns:xlink="http://www.w3.org/1999/xlink"/>')
@@ -104,8 +106,8 @@ def save_svg_montage(path, tiles, cols: int, labels=None, title: str = "",
         # labels sit below the image, one text line per tile row
         for i, text in enumerate(labels):
             r, c = divmod(i, cols)
-            x = (pad + c * (tw + pad) + tw / 2) * scale
-            y = top + gh * scale + 11 + r * label_h
+            x = (PAD + c * (tw + PAD) + tw / 2) * SVG_SCALE
+            y = top + gh * SVG_SCALE + 11 + r * label_h
             lines.append(f'<text x="{x:.1f}" y="{y}" font-family="monospace" '
                          f'font-size="10" text-anchor="middle">{text}</text>')
     lines.append("</svg>")

@@ -2,8 +2,8 @@
 
 Each check prints a [aNN] PASS line with the measured margin; assertion
 messages carry the same numbers on failure.  a08/a09b share a desk-scale
-pipeline fixture (three trained models) and together take a few minutes;
-everything else finishes in seconds.
+pipeline fixture (scripts/run_desk_pipeline.py on three seeds at once) and
+together take a few minutes; everything else finishes in seconds.
 """
 
 import math
@@ -12,7 +12,6 @@ import re
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,11 +27,10 @@ from cgdbm.analysis import (
 )
 from cgdbm.cli import main as cli_main
 from cgdbm.exact import brute_force_hidden_marginal, to_uncentered
-from cgdbm.io import write_pgm
 from cgdbm.model import cond_hidden1, cond_hidden2, energy
 from cgdbm.sampling import random_control_frames
 from cgdbm.stimuli import dewhiten, fit_whitener, whiten
-from cgdbm.synth import make_corpus
+from cgdbm.synth import write_corpus
 from cgdbm.training import (
     GibbsNoise,
     PersistentChains,
@@ -224,36 +222,22 @@ def parse_summary(path: Path) -> dict[str, float]:
 
 @pytest.fixture(scope="session")
 def desk_runs(tmp_path_factory):
-    """Full pipeline (prepare/train/sample/analyze) for three seeds."""
+    """Full pipeline for three seeds, run side by side by the desk runner."""
     root = tmp_path_factory.mktemp("desk")
-    corpus = root / "corpus"
-    corpus.mkdir()
-    for i, img in enumerate(make_corpus(12, 128, seed=0, n_shapes=220)):
-        write_pgm(corpus / f"scene_{i:03d}.pgm", img, maxval=65535)
     text = (REPO / "configs" / "desk.cfg").read_text()
     cfg_path = root / "desk.cfg"
     cfg_path.write_text(re.sub(r"(?m)^image_dir = .*$",
-                               f"image_dir = {corpus}", text))
-    env = cli_env()
-
-    def run_seed(seed: int) -> dict[str, float]:
-        # Each seed is its own CLI process, so the three pipelines run side
-        # by side; their artifacts do not depend on it (a10, a10b).
-        args = ["--config", str(cfg_path), "--seed", str(seed),
-                "--out-dir", str(root / f"seed_{seed}")]
-        for step in ("prepare", "train", "sample", "analyze"):
-            proc = subprocess.run([sys.executable, "-m", "cgdbm.cli", step,
-                                   *args], env=env, capture_output=True,
-                                  text=True)
-            print(proc.stdout, end="")
-            assert proc.returncode == 0, (
-                f"seed {seed}: {step} exited {proc.returncode}: {proc.stderr}")
-        return parse_summary(root / f"seed_{seed}" / "summary.txt")
-
+                               f"image_dir = {root / 'corpus'}", text))
     t0 = time.time()
-    with ThreadPoolExecutor(max_workers=len(DESK_SEEDS)) as pool:
-        summaries = dict(zip(DESK_SEEDS, pool.map(run_seed, DESK_SEEDS)))
-    return summaries, time.time() - t0
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_desk_pipeline.py"),
+         "--config", str(cfg_path), "--out", str(root),
+         "--seeds", *map(str, DESK_SEEDS)],
+        env=cli_env(), capture_output=True, text=True)
+    print(proc.stdout, end="")
+    assert proc.returncode == 0, proc.stderr  # names the seed and the stage
+    return {seed: parse_summary(root / f"seed_{seed}" / "summary.txt")
+            for seed in DESK_SEEDS}, time.time() - t0
 
 
 @pytest.mark.slow
@@ -310,12 +294,9 @@ def test_a09b_som_node_matches_orientation_map(desk_runs):
 
 
 def test_a10_bit_identical_reruns(tmp_path):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for i, img in enumerate(make_corpus(4, 24, seed=5)):
-        write_pgm(corpus / f"img_{i}.pgm", img, maxval=65535)
+    write_corpus(tmp_path / "corpus", 4, 24, seed=5)
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(TINY_CFG.format(corpus=corpus))
+    cfg_path.write_text(TINY_CFG.format(corpus=tmp_path / "corpus"))
     out = tmp_path / "artifacts"
 
     def run_all():
@@ -337,11 +318,8 @@ def test_a10_bit_identical_reruns(tmp_path):
 def test_a10b_artifacts_independent_of_blas_threads(tmp_path):
     # The tiny a10 run at desk dims: at its own 20/12/4 dims OpenBLAS
     # never starts a second thread, so it could not tell the difference.
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for i, img in enumerate(make_corpus(4, 64, seed=5)):
-        write_pgm(corpus / f"img_{i}.pgm", img, maxval=65535)
-    text = TINY_CFG.format(corpus=corpus)
+    write_corpus(tmp_path / "corpus", 4, 64, seed=5)
+    text = TINY_CFG.format(corpus=tmp_path / "corpus")
     for old, new in (("patch_side = 6", "patch_side = 12"),
                      ("n_patches = 800", "n_patches = 2000"),
                      ("pca_k = 20", "pca_k = 100"),

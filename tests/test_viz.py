@@ -19,7 +19,7 @@ def test_normalize_tile():
 
 def test_montage_geometry():
     tiles = [np.zeros((4, 5)) for _ in range(7)]
-    grid = montage(tiles, cols=3, pad=1)
+    grid = montage(tiles, cols=3)
     # 3 rows of tiles (7 tiles in 3 cols), 1px separators all around
     assert grid.shape == (3 * 4 + 4, 3 * 5 + 4)
     # empty cell in the last row keeps the gap color
@@ -27,11 +27,11 @@ def test_montage_geometry():
 
 
 def test_montage_tile_placement():
-    a = np.full((2, 2), 0.0)
-    b = np.full((2, 2), 1.0)
-    grid = montage([a, b], cols=2, pad=1, normalize=False)
-    np.testing.assert_array_equal(grid[1:3, 1:3], 0.0)
-    np.testing.assert_array_equal(grid[1:3, 4:6], 1.0)
+    # tiles spanning [0, 1]: min-max normalization leaves them as they are
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    grid = montage([a, 1.0 - a], cols=2)
+    np.testing.assert_array_equal(grid[1:3, 1:3], a)
+    np.testing.assert_array_equal(grid[1:3, 4:6], 1.0 - a)
 
 
 def test_montage_validation():
