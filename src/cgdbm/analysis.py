@@ -49,25 +49,21 @@ class OrientationMapSet:
 
 
 def orientation_maps(params: ModelParams, offsets: Offsets, grating_groups,
-                     orientations, whitener: Whitener | None = None,
-                     mf_cfg: TrainConfig | None = None) -> OrientationMapSet:
+                     orientations, whitener: Whitener,
+                     mf_cfg: TrainConfig) -> OrientationMapSet:
     """Average clamped first-layer response per orientation group.
 
-    grating_groups holds one stimulus matrix per orientation.  With a
-    whitener the groups are pixel-space patches and get whitened first;
-    without one they must already be in model coordinates.
+    grating_groups holds one pixel-space stimulus matrix per orientation;
+    each is whitened, then inferred by mean field under mf_cfg.
     """
     if len(grating_groups) != len(orientations):
         raise ShapeError("one grating group per orientation required")
-    if mf_cfg is None:
-        mf_cfg = TrainConfig()
     rows = []
     for group in grating_groups:
         g = np.atleast_2d(np.asarray(group, dtype=np.float64))
         if g.shape[0] == 0:
             raise DomainError("empty orientation group")
-        x = whiten(whitener, g) if whitener is not None else g
-        mf = mean_field_data(x, params, offsets, mf_cfg)
+        mf = mean_field_data(whiten(whitener, g), params, offsets, mf_cfg)
         rows.append(mf.y.mean(axis=0))
     return OrientationMapSet(orientations=np.asarray(orientations, float),
                              maps=np.array(rows))
@@ -395,7 +391,7 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
     unit = generate_gratings(patch_side, orientations, freqs, phases)
     amplitude = mean_patch_norm / float(np.mean(np.linalg.norm(unit, axis=-1)))
     map_set = orientation_maps(params, offsets, amplitude * unit,
-                               orientations, whitener=whitener, mf_cfg=mf_cfg)
+                               orientations, whitener, mf_cfg)
 
     threshold = significance_threshold(cfg.threshold_n, cfg.alpha)
     threshold_at_m = significance_threshold(M, cfg.alpha) if M >= 4 \

@@ -30,7 +30,7 @@ from .io import (format_float, load_matrix, load_model, open_atomic,
 from .sampling import average_initial_probability, run_spontaneous_session
 from .stimuli import (extract_patches, fit_whitener, load_grayscale_images,
                       load_whitener, mean_centered_norm, save_whitener, whiten)
-from .training import EpochRecord, TrainingDiverged, train
+from .training import EpochRecord, train
 from .viz import save_montage_pgm, save_svg_montage
 
 # artifact filenames within the run directory
@@ -101,24 +101,15 @@ def cmd_train(cfg: RunConfig, out_dir: Path, epochs: int | None) -> int:
     tcfg = cfg.training if epochs is None \
         else replace(cfg.training, epochs_max=epochs).validate()
 
-    def checkpoint(rec, params, offsets, log):
-        save_model(out_dir / CHECKPOINT, params, offsets)
-        write_csv(out_dir / TRAIN_LOG, LOG_COLUMNS, map(astuple, log))
-
-    try:
-        result = train(data, dims, tcfg, stage_seed(cfg.seed, "train"),
-                       progress=checkpoint)
-    except TrainingDiverged as exc:
-        # keep the preceding epoch's checkpoint and log, then report
-        save_model(out_dir / CHECKPOINT, exc.params, exc.offsets)
-        write_csv(out_dir / TRAIN_LOG, LOG_COLUMNS, map(astuple, exc.log))
-        raise
-    save_model(out_dir / MODEL, result.params, result.offsets)
-    write_csv(out_dir / TRAIN_LOG, LOG_COLUMNS, map(astuple, result.log))
-    last = result.log[-1].reconstruction_error if result.log else float("nan")
-    print(f"train: {len(result.log)} epochs, "
+    for state in train(data, dims, tcfg, stage_seed(cfg.seed, "train")):
+        # a divergence raises here and leaves the last finite state's files
+        save_model(out_dir / CHECKPOINT, state.params, state.offsets)
+        write_csv(out_dir / TRAIN_LOG, LOG_COLUMNS, map(astuple, state.log))
+    save_model(out_dir / MODEL, state.params, state.offsets)
+    last = state.log[-1].reconstruction_error if state.log else float("nan")
+    print(f"train: {len(state.log)} epochs, "
           f"final validation error {format_float(last)}"
-          + (" (stopped early)" if result.stopped_early else ""))
+          + (" (stopped early)" if state.stall >= tcfg.patience else ""))
     return 0
 
 

@@ -113,13 +113,6 @@ def whiten(w: Whitener, rows) -> np.ndarray:
     return (x - w.mean) @ (w.basis / np.sqrt(w.eigvals))
 
 
-def dewhiten(w: Whitener, rows) -> np.ndarray:
-    """Back to pixel space; composition with whiten is the rank-k
-    projection around the mean."""
-    v = np.asarray(rows, dtype=np.float64)
-    return v @ (w.basis * np.sqrt(w.eigvals)).T + w.mean
-
-
 # --- gratings ---------------------------------------------------------------
 
 def default_frequencies(patch_side: int, count: int = 6) -> np.ndarray:

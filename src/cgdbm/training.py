@@ -16,8 +16,13 @@ halves of a batch do not depend on each other either: the data term
 draws no random numbers, so for large models the same worker also runs
 it beside the chains, and then the main thread applies the update.
 Every draw comes from the one generator in the order a one-thread loop
-takes them.  `train` owns one set of parameter, offset, chain, gradient
-and velocity arrays and updates them in place.
+takes them.
+
+`train` is a generator over one `TrainState`, which holds everything one
+epoch hands to the next.  It yields that same object before the first
+epoch and after each finished one, and updates its arrays in place; no
+worker thread is alive at a yield.  A caller that keeps a state past the
+next step copies it.
 
 Conventions fixed here:
   - the sigma gradient acts on the standard deviations, with its own
@@ -31,7 +36,8 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,7 +113,6 @@ class MeanFieldState:
     y: np.ndarray            # (B, M) probabilities
     z: np.ndarray            # (B, N) probabilities
     iterations_used: int
-    residual: float          # max abs change of the final sweep
     converged: bool
 
 
@@ -166,18 +171,21 @@ class EpochRecord:
     mean_sigma: float
 
 
-class TrainingDiverged(NumericError):
-    """Raised when parameters stop being finite; carries the last state
-    that was still finite so callers can checkpoint it."""
+@dataclass
+class TrainState:
+    """Everything one epoch of `train` hands to the next."""
 
-    def __init__(self, message, params, offsets, log):
-        super().__init__(message)
-        self.params = params
-        self.offsets = offsets
-        self.log = log
+    params: ModelParams
+    offsets: Offsets
+    velocity: GradientStats
+    chains: PersistentChains
+    rng: np.random.Generator
+    log: list[EpochRecord]
+    best_val: float = np.inf
+    stall: int = 0            # epochs since the last new best_val
 
 
-def initialize(dims: tuple[int, int, int], data_mean, cfg: TrainConfig,
+def initialize(dims: tuple[int, int, int], data_mean,
                rng: np.random.Generator) -> tuple[ModelParams, Offsets]:
     """Fresh model: uniform fan-scaled couplings, variances near 0.5,
     biases near -4 so hidden units start sparse, offsets at the matching
@@ -251,7 +259,6 @@ def mean_field_data(x_batch, p: ModelParams, c: Offsets,
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
         raise NumericError(f"mean field produced non-finite values at sweep {iterations}")
     return MeanFieldState(y=y, z=z, iterations_used=iterations,
-                          residual=float(residual if np.isfinite(residual) else 0.0),
                           converged=residual <= cfg.mean_field_tol)
 
 
@@ -402,14 +409,6 @@ def reconstruction_error(p: ModelParams, c: Offsets, data) -> float:
         return float(np.mean(np.sum((x - xhat) ** 2, axis=1)))
 
 
-@dataclass
-class TrainResult:
-    params: ModelParams
-    offsets: Offsets
-    log: list[EpochRecord] = field(default_factory=list)
-    stopped_early: bool = False
-
-
 def _data_phase(batch, p: ModelParams, c: Offsets, cfg: TrainConfig,
                 out: GradientStats):
     """The data half of one batch: mean-field inference and the data
@@ -421,24 +420,17 @@ def _data_phase(batch, p: ModelParams, c: Offsets, cfg: TrainConfig,
     return mf.y.mean(axis=0), mf.z.mean(axis=0), batch.mean(axis=0)
 
 
-def _snapshot(p: ModelParams, c: Offsets) -> tuple[ModelParams, Offsets]:
-    """Copies of the state train() updates in place, safe to hand out."""
-    return (ModelParams(W=p.W.copy(), U=p.U.copy(), b_y=p.b_y.copy(),
-                        b_z=p.b_z.copy(), sigma2=p.sigma2.copy()),
-            Offsets(c_x=c.c_x.copy(), c_y=c.c_y.copy(), c_z=c.c_z.copy()))
-
-
-def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
-          progress=None) -> TrainResult:
-    """Run the full training schedule on the dataset rows.
+def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
+          seed: int) -> Iterator[TrainState]:
+    """Run the full training schedule on the dataset rows, yielding the
+    one TrainState before the first epoch and after each finished epoch.
 
     A validation slice (cfg.val_fraction of the rows, chosen by an rng
     seeded from `seed`, which drives every draw of the run) is held out
     for the stopping rule; training stops after `patience` epochs without
-    a new best validation reconstruction error.  After each epoch,
-    progress(record, params, offsets, log) gets copies of the state.
-    Raises TrainingDiverged, carrying the last finite state, if parameters
-    leave the finite range.
+    a new best validation reconstruction error, so then state.stall >=
+    cfg.patience.  Raises NumericError if parameters leave the finite
+    range; the state of the preceding yield was the last finite one.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
@@ -459,25 +451,20 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
         val = data
         tr = data
 
-    p, c = initialize(dims, data.mean(axis=0), cfg, rng)
-
-    # Everything below is updated in place; only _snapshot copies leave.
-    velocity = GradientStats.zeros(dims)
+    p, c = initialize(dims, data.mean(axis=0), rng)
     n_chains = cfg.batch_size
-    chains = PersistentChains(
-        x=np.broadcast_to(c.c_x, (n_chains, L)).copy(),
-        y=np.broadcast_to(c.c_y, (n_chains, M)).copy(),
-        z=np.broadcast_to(c.c_z, (n_chains, N)).copy(),
-    )
+    state = TrainState(
+        params=p, offsets=c, velocity=GradientStats.zeros(dims),
+        chains=PersistentChains(
+            x=np.broadcast_to(c.c_x, (n_chains, L)).copy(),
+            y=np.broadcast_to(c.c_y, (n_chains, M)).copy(),
+            z=np.broadcast_to(c.c_z, (n_chains, N)).copy()),
+        rng=rng, log=[])
+    yield state
+
+    # scratch for one batch; nothing here outlives an epoch
     data_stats = GradientStats.zeros(dims)
     model_stats = GradientStats.zeros(dims)
-
-    log: list[EpochRecord] = []
-    best_val = np.inf
-    stall = 0
-    stopped_early = False
-    last_good = _snapshot(p, c)
-
     overlap = cfg.batch_size * M * (L + N) >= OVERLAP_MIN_MULTIPLY_ADDS
     steps = cfg.gibbs_steps_per_batch
     noise = GibbsNoise.empty(steps, n_chains, dims)
@@ -485,15 +472,16 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
     n_batches = -(-tr.shape[0] // cfg.batch_size)
     # imported here: it costs the other stages' processes 0.6 MB
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for epoch in range(cfg.epochs_max):
-            lr, momentum = anneal(cfg, epoch)
-            chains.y[...] = c.c_y
-            order = rng.permutation(tr.shape[0])
-            noise.fill(rng)
-            gw_norms = []
-            gu_norms = []
-            try:
+    for epoch in range(cfg.epochs_max):
+        p, c, chains, rng = state.params, state.offsets, state.chains, state.rng
+        lr, momentum = anneal(cfg, epoch)
+        chains.y[...] = c.c_y
+        order = rng.permutation(tr.shape[0])
+        noise.fill(rng)
+        gw_norms = []
+        gu_norms = []
+        try:
+            with ThreadPoolExecutor(max_workers=1) as worker:
                 for k in range(n_batches):
                     start = k * cfg.batch_size
                     batch = tr[order[start:start + cfg.batch_size]]
@@ -517,7 +505,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
                     grad = data_stats.subtract(model_stats)
                     gw_norms.append(float(np.linalg.norm(grad.dW)))
                     gu_norms.append(float(np.linalg.norm(grad.dU)))
-                    apply_updates(p, velocity, grad, lr, momentum, cfg)
+                    apply_updates(p, state.velocity, grad, lr, momentum, cfg)
                     _, db_y, db_z = update_offsets(c, mean_y, mean_z, mean_x,
                                                    p, cfg.offset_rate, out=c)
                     np.add(p.b_y, db_y, out=p.b_y)
@@ -525,32 +513,23 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig, seed: int,
                     # Smooth the persistent hidden-1 state to its conditional
                     # probabilities before the next batch.
                     cond_hidden1(chains.x, chains.z, p, c, out=chains.y)
-                err = reconstruction_error(p, c, val)
-                if not np.isfinite(err):
-                    raise NumericError("validation reconstruction error is not finite")
-            except NumericError as exc:
-                raise TrainingDiverged(
-                    f"training diverged in epoch {epoch}: {exc}",
-                    params=last_good[0], offsets=last_good[1], log=log) from exc
+            err = reconstruction_error(p, c, val)
+            if not np.isfinite(err):
+                raise NumericError("validation reconstruction error is not finite")
+        except NumericError as exc:
+            raise NumericError(
+                f"training diverged in epoch {epoch}: {exc}") from exc
 
-            last_good = _snapshot(p, c)
-            rec = EpochRecord(epoch=epoch, reconstruction_error=err,
-                              learning_rate=lr, momentum=momentum,
-                              grad_norm_W=float(np.mean(gw_norms)),
-                              grad_norm_U=float(np.mean(gu_norms)),
-                              mean_sigma=float(np.mean(np.sqrt(p.sigma2))))
-            log.append(rec)
-            if progress is not None:
-                progress(rec, *last_good, log)
-
-            if err < best_val - 1e-12:
-                best_val = err
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.patience:
-                    stopped_early = True
-                    break
-
-    return TrainResult(params=last_good[0], offsets=last_good[1], log=log,
-                       stopped_early=stopped_early)
+        state.log.append(EpochRecord(
+            epoch=epoch, reconstruction_error=err, learning_rate=lr,
+            momentum=momentum, grad_norm_W=float(np.mean(gw_norms)),
+            grad_norm_U=float(np.mean(gu_norms)),
+            mean_sigma=float(np.mean(np.sqrt(p.sigma2)))))
+        if err < state.best_val - 1e-12:
+            state.best_val = err
+            state.stall = 0
+        else:
+            state.stall += 1
+        yield state
+        if state.stall >= cfg.patience:
+            return

@@ -26,8 +26,8 @@ from cgdbm.analysis import (AnalysisConfig, circular_distance,
 from cgdbm.errors import NumericError, ShapeError
 from cgdbm.model import SIGMA2_FLOOR, ModelParams, Offsets, check_dims, energy, sigmoid
 from cgdbm.training import (EpochRecord, GradientStats, PersistentChains,
-                            TrainConfig, TrainingDiverged, TrainResult, anneal,
-                            initialize, mean_field_data)
+                            TrainConfig, TrainState, anneal, initialize,
+                            mean_field_data)
 
 
 def raw_energy(x, y, z, W, U, b_y, b_z, sigma2, c_x, c_y, c_z) -> float:
@@ -332,9 +332,10 @@ def _reconstruction_error(p: ModelParams, c: Offsets, data) -> float:
 
 
 def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
-                    seed: int, progress=None) -> TrainResult:
+                    seed: int):
     """`train` as one allocating, single-threaded loop: every batch
-    builds new parameter, offset and chain objects."""
+    builds new parameter, offset and chain objects.  Yields a new
+    TrainState wherever `train` yields its one state."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     data = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
@@ -354,9 +355,7 @@ def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
         val = data
         tr = data
 
-    p, c = initialize(dims, data.mean(axis=0), cfg, rng)
-    if cfg.epochs_max == 0:
-        return TrainResult(params=p, offsets=c, log=[])
+    p, c = initialize(dims, data.mean(axis=0), rng)
 
     velocity = GradientStats.zeros(dims)
     n_chains = cfg.batch_size
@@ -369,8 +368,13 @@ def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
     log: list[EpochRecord] = []
     best_val = np.inf
     stall = 0
-    stopped_early = False
-    last_good = (p, c)
+
+    def state():
+        return TrainState(params=p, offsets=c, velocity=velocity,
+                          chains=chains, rng=rng, log=log,
+                          best_val=best_val, stall=stall)
+
+    yield state()
 
     for epoch in range(cfg.epochs_max):
         lr, momentum = anneal(cfg, epoch)
@@ -402,27 +406,21 @@ def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
             if not np.isfinite(err):
                 raise NumericError("validation reconstruction error is not finite")
         except NumericError as exc:
-            raise TrainingDiverged(
-                f"training diverged in epoch {epoch}: {exc}",
-                params=last_good[0], offsets=last_good[1], log=log) from exc
+            raise NumericError(
+                f"training diverged in epoch {epoch}: {exc}") from exc
 
-        last_good = (p, c)
         rec = EpochRecord(epoch=epoch, reconstruction_error=err,
                           learning_rate=lr, momentum=momentum,
                           grad_norm_W=float(np.mean(gw_norms)) if gw_norms else 0.0,
                           grad_norm_U=float(np.mean(gu_norms)) if gu_norms else 0.0,
                           mean_sigma=float(np.mean(np.sqrt(p.sigma2))))
         log.append(rec)
-        if progress is not None:
-            progress(rec, p, c, log)
 
         if err < best_val - 1e-12:
             best_val = err
             stall = 0
         else:
             stall += 1
-            if stall >= cfg.patience:
-                stopped_early = True
-                break
-
-    return TrainResult(params=p, offsets=c, log=log, stopped_early=stopped_early)
+        yield state()
+        if stall >= cfg.patience:
+            break

@@ -16,7 +16,7 @@ from cgdbm.analysis import (AnalysisConfig, OrientationMapSet,
                             top_active_filters, train_som)
 from cgdbm.errors import DomainError, ShapeError
 from cgdbm.model import ModelParams, Offsets
-from cgdbm.stimuli import fit_whitener, generate_gratings
+from cgdbm.stimuli import Whitener, fit_whitener, generate_gratings
 from cgdbm.training import TrainConfig
 
 from oracles import random_model, som_reference
@@ -171,21 +171,28 @@ def test_correlate_max_r_over_significant_only(rng):
 
 # --- orientation maps ---------------------------------------------------------
 
+def identity_whitener(d):
+    """Whitens every d-wide row to itself."""
+    return Whitener(mean=np.zeros(d), eigvals=np.ones(d), basis=np.eye(d))
+
+
 def test_orientation_maps_zero_model_is_half():
     L, M, N = 4, 3, 2
     p = ModelParams(W=np.zeros((L, M)), U=np.zeros((M, N)),
                     b_y=np.zeros(M), b_z=np.zeros(N), sigma2=np.ones(L))
     c = Offsets(c_x=np.zeros(L), c_y=np.full(M, 0.5), c_z=np.full(N, 0.5))
     groups = [np.random.default_rng(i).normal(size=(5, L)) for i in range(8)]
-    ms = orientation_maps(p, c, groups, np.arange(8) * 22.5)
+    ms = orientation_maps(p, c, groups, np.arange(8) * 22.5,
+                          identity_whitener(L), TrainConfig())
     np.testing.assert_allclose(ms.maps, 0.5, atol=1e-12)
 
 
 def test_orientation_maps_permutation_invariant(rng):
     p, c = random_model(rng, 5, 4, 2)
     group = rng.normal(size=(7, 5))
-    ms1 = orientation_maps(p, c, [group], [0.0])
-    ms2 = orientation_maps(p, c, [group[::-1]], [0.0])
+    w = identity_whitener(5)
+    ms1 = orientation_maps(p, c, [group], [0.0], w, TrainConfig())
+    ms2 = orientation_maps(p, c, [group[::-1]], [0.0], w, TrainConfig())
     np.testing.assert_allclose(ms1.maps, ms2.maps, atol=1e-14)
 
 
@@ -203,16 +210,18 @@ def test_orientation_maps_tuned_unit_peaks_at_matching_angle(rng):
                     b_z=np.zeros(1), sigma2=np.ones(side * side))
     c = Offsets(c_x=np.zeros(side * side), c_y=np.full(1, 0.5),
                 c_z=np.full(1, 0.5))
-    ms = orientation_maps(p, c, groups, orientations, whitener=w)
+    ms = orientation_maps(p, c, groups, orientations, w, TrainConfig())
     assert np.argmax(ms.maps[:, 0]) == 2
 
 
 def test_orientation_maps_validation(rng):
     p, c = random_model(rng, 3, 2, 2)
+    w = identity_whitener(3)
     with pytest.raises(ShapeError):
-        orientation_maps(p, c, [np.zeros((2, 3))], [0.0, 90.0])
+        orientation_maps(p, c, [np.zeros((2, 3))], [0.0, 90.0], w,
+                         TrainConfig())
     with pytest.raises(DomainError):
-        orientation_maps(p, c, [np.zeros((0, 3))], [0.0])
+        orientation_maps(p, c, [np.zeros((0, 3))], [0.0], w, TrainConfig())
 
 
 def test_map_set_validation():

@@ -153,7 +153,8 @@ def test_seed_override_seeds_train_and_sample(run_dir, tmp_path):
         assert main([step, *base]) == 0
     cfg = load_config(cfg_path)
     data, _ = load_matrix(run / "train_white.cgmat")
-    want = train(data, cfg.model.dims, cfg.training, stage_seed(99, "train"))
+    *_, want = train(data, cfg.model.dims, cfg.training,
+                     stage_seed(99, "train"))
     save_model(tmp_path / "want.cgdbm", want.params, want.offsets)
     assert (run / "model.cgdbm").read_bytes() == \
         (tmp_path / "want.cgdbm").read_bytes()
@@ -177,6 +178,8 @@ def test_epochs_zero_saves_initial_model(run_dir, tmp_path):
     # data-mean visible offsets are the signature of the untrained init
     train, _ = load_matrix(out2 / "train_white.cgmat")
     np.testing.assert_allclose(offsets.c_x, train.mean(axis=0), atol=1e-12)
+    assert (out2 / "checkpoint.cgdbm").read_bytes() == \
+        (out2 / "model.cgdbm").read_bytes()
 
 
 def test_exit_codes(run_dir, tmp_path):
@@ -302,6 +305,33 @@ def test_divergence_exit_code_and_checkpoint(run_dir, tmp_path):
     params, offsets = load_model(out2 / "checkpoint.cgdbm")
     assert np.all(np.isfinite(params.W))
     assert not (out2 / "model.cgdbm").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_keeps_last_finished_epoch(run_dir, tmp_path):
+    # at a constant rate and momentum the schedule does not depend on
+    # epochs_max, so a run that diverges in epoch 2 leaves the checkpoint
+    # and log that a two-epoch run leaves
+    root, cfg, out = run_dir
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(cfg.read_text().replace(
+        "epochs_max = 2",
+        "epochs_max = 8\nlearning_rate_start = 1e4\nlearning_rate_end = 1e4\n"
+        "momentum_start = 0\nmomentum_end = 0"))
+    div, two = tmp_path / "div", tmp_path / "two"
+    for run in (div, two):
+        assert main(["prepare", "--config", str(bad_cfg),
+                     "--out-dir", str(run)]) == 0
+    assert main(["train", "--config", str(bad_cfg), "--out-dir", str(div)]) == 3
+    assert main(["train", "--config", str(bad_cfg), "--out-dir", str(two),
+                 "--epochs", "2"]) == 0
+    log = (div / "train_log.csv").read_text().strip().split("\n")
+    assert len(log) == 3  # header + 2 epochs
+    assert (div / "train_log.csv").read_bytes() == \
+        (two / "train_log.csv").read_bytes()
+    assert (div / "checkpoint.cgdbm").read_bytes() == \
+        (two / "model.cgdbm").read_bytes()
+    assert not (div / "model.cgdbm").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 """Training-loop components against exact oracles and hand-built cases."""
 
+import copy
 import sys
 import threading
 from dataclasses import astuple
@@ -16,7 +17,6 @@ from cgdbm.training import (
     GradientStats,
     PersistentChains,
     TrainConfig,
-    TrainingDiverged,
     anneal,
     apply_updates,
     batch_gradient_stats,
@@ -45,9 +45,8 @@ def sample_exact(p, c, n, rng):
 
 class TestInitialize:
     def test_ranges_and_offsets(self, rng):
-        cfg = TrainConfig()
         data_mean = rng.standard_normal(6)
-        p, c = initialize((6, 5, 3), data_mean, cfg, rng)
+        p, c = initialize((6, 5, 3), data_mean, rng)
         r_w = np.sqrt(6.0 / (6 + 5))
         r_u = np.sqrt(6.0 / (5 + 3))
         assert np.all(np.abs(p.W) <= r_w) and np.all(np.abs(p.U) <= r_u)
@@ -59,8 +58,7 @@ class TestInitialize:
 
     def test_bias_minus_four_gives_known_offset(self, rng):
         # sigmoid(-4) with the bias pinned exactly.
-        cfg = TrainConfig()
-        p, c = initialize((2, 3, 2), np.zeros(2), cfg, rng)
+        p, c = initialize((2, 3, 2), np.zeros(2), rng)
         from dataclasses import replace
         p2 = replace(p, b_y=np.full(3, -4.0))
         c2 = Offsets(c_x=c.c_x, c_y=1.0 / (1.0 + np.exp(-p2.b_y)), c_z=c.c_z)
@@ -89,7 +87,8 @@ class TestMeanField:
         mf = mean_field_data(np.zeros((4, 2)), p, c, TrainConfig())
         np.testing.assert_array_equal(mf.y, np.full((4, 3), 0.5))
         np.testing.assert_array_equal(mf.z, np.full((4, 2), 0.5))
-        assert mf.converged and mf.residual == 0.0
+        # the first sweep has no previous iterate, the second moves nothing
+        assert mf.converged and mf.iterations_used == 2
 
     def test_rerun_from_fixed_point_is_stable(self, rng):
         p, c = random_model(rng, L=3, M=4, N=2, scale=0.4)
@@ -323,21 +322,37 @@ class TestReconstructionError:
 
 
 class TestTrain:
+    def test_yields_one_state_before_and_after_each_epoch(self, rng):
+        data = rng.standard_normal((80, 3))
+        cfg = TrainConfig(epochs_max=4, batch_size=20)
+        seen = []
+        for state in train(data, (3, 4, 2), cfg, seed=7):
+            if not seen:
+                assert state.log == []
+                rng2 = np.random.default_rng(7)
+                rng2.permutation(80)
+                p0, c0 = initialize((3, 4, 2), data.mean(axis=0), rng2)
+                assert_same_state((state.params, state.offsets), (p0, c0))
+            assert len(state.log) == len(seen)
+            seen.append(state)
+        assert len(seen) == cfg.epochs_max + 1
+        assert all(state is seen[0] for state in seen)
+
     def test_zero_epochs_returns_initialized_model(self, rng):
         data = rng.standard_normal((50, 3))
         cfg = TrainConfig(epochs_max=0, batch_size=10)
-        res = train(data, (3, 4, 2), cfg, seed=0)
+        (res,) = train(data, (3, 4, 2), cfg, seed=0)
         assert res.log == []
         rng2 = np.random.default_rng(0)
         rng2.permutation(50)
-        p0, c0 = initialize((3, 4, 2), data.mean(axis=0), cfg, rng2)
+        p0, c0 = initialize((3, 4, 2), data.mean(axis=0), rng2)
         np.testing.assert_array_equal(res.params.W, p0.W)
         np.testing.assert_array_equal(res.offsets.c_x, c0.c_x)
 
     def test_runs_and_logs(self, rng):
         data = rng.standard_normal((80, 3))
         cfg = TrainConfig(epochs_max=4, batch_size=20)
-        res = train(data, (3, 4, 2), cfg, seed=7)
+        *_, res = train(data, (3, 4, 2), cfg, seed=7)
         assert len(res.log) == 4
         assert all(np.isfinite(r.reconstruction_error) for r in res.log)
         assert res.log[0].learning_rate == 0.03
@@ -346,22 +361,23 @@ class TestTrain:
     def test_deterministic_given_seed(self, rng):
         data = rng.standard_normal((60, 3))
         cfg = TrainConfig(epochs_max=3, batch_size=20)
-        a = train(data, (3, 4, 2), cfg, seed=11)
-        b = train(data, (3, 4, 2), cfg, seed=11)
+        *_, a = train(data, (3, 4, 2), cfg, seed=11)
+        *_, b = train(data, (3, 4, 2), cfg, seed=11)
         np.testing.assert_array_equal(a.params.W, b.params.W)
         np.testing.assert_array_equal(a.params.sigma2, b.params.sigma2)
         assert [r.reconstruction_error for r in a.log] == [r.reconstruction_error for r in b.log]
 
     def test_divergence_carries_last_good_state(self, rng):
+        # the state of the yield before the raise is still finite
         data = rng.standard_normal((60, 3)) * 50.0
         cfg = TrainConfig(epochs_max=50, batch_size=20,
                           learning_rate_start=2e5, learning_rate_end=2e5,
                           momentum_start=0.0, momentum_end=0.0)
-        with pytest.raises(TrainingDiverged) as exc_info:
-            train(data, (3, 4, 2), cfg, seed=3)
-        exc = exc_info.value
-        assert np.all(np.isfinite(exc.params.W))
-        assert isinstance(exc.offsets, Offsets)
+        seen, error = run_states(train(data, (3, 4, 2), cfg, seed=3))
+        assert type(error) is NumericError
+        assert str(error).startswith(f"training diverged in epoch {len(seen) - 1}: ")
+        assert np.all(np.isfinite(seen[-1].params.W))
+        assert isinstance(seen[-1].offsets, Offsets)
 
     def test_early_stopping_on_patience(self, rng):
         # Constant data reconstructs immediately; error cannot improve.
@@ -369,8 +385,8 @@ class TestTrain:
         data = data + rng.standard_normal((40, 2)) * 1e-9
         cfg = TrainConfig(epochs_max=200, batch_size=10, patience=3,
                           learning_rate_start=1e-6, learning_rate_end=1e-6)
-        res = train(data, (2, 3, 2), cfg, seed=5)
-        assert res.stopped_early
+        *_, res = train(data, (2, 3, 2), cfg, seed=5)
+        assert res.stall >= cfg.patience
         assert len(res.log) < 200
 
     def test_log_likelihood_improves_on_enumerable_model(self):
@@ -388,8 +404,8 @@ class TestTrain:
             # recover the exact starting model.
             rng_t = np.random.default_rng(seed)
             rng_t.permutation(500)
-            p0, c0 = initialize((2, 3, 2), data.mean(axis=0), cfg, rng_t)
-            res = train(data, (2, 3, 2), cfg, seed)
+            p0, c0 = initialize((2, 3, 2), data.mean(axis=0), rng_t)
+            *_, res = train(data, (2, 3, 2), cfg, seed)
             ll_before = log_likelihood(val, p0, c0)
             ll_after = log_likelihood(val, res.params, res.offsets)
             if ll_after > ll_before:
@@ -410,6 +426,38 @@ def assert_same_log(got, want):
     assert len(got) == len(want)
     np.testing.assert_array_equal([astuple(r) for r in got],
                                   [astuple(r) for r in want])
+
+
+def run_states(steps):
+    """Copies of every state a training generator yields, and the
+    NumericError that ended it (None if it ran to its end)."""
+    seen = []
+    try:
+        for state in steps:
+            seen.append(copy.deepcopy(state))
+    except NumericError as exc:
+        return seen, exc
+    return seen, None
+
+
+def assert_same_train_state(got, want):
+    """Every field of two TrainStates, bit for bit."""
+    assert_same_state((got.params, got.offsets), (want.params, want.offsets))
+    for a, b in zip(astuple(got.velocity), astuple(want.velocity)):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(astuple(got.chains), astuple(want.chains)):
+        np.testing.assert_array_equal(a, b)
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+    assert_same_log(got.log, want.log)
+    assert (got.best_val, got.stall) == (want.best_val, want.stall)
+
+
+def assert_same_run(got, want):
+    """Two run_states results: the same states, then the same error."""
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[0], want[0]):
+        assert_same_train_state(a, b)
+    assert str(got[1]) == str(want[1])
 
 
 def mean_field_damps(x, p, c, cfg):
@@ -467,26 +515,24 @@ class TestTrainMatchesReference:
         monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
 
     def check(self, data, dims, cfg, seed, worker=True):
-        want = train_reference(data, dims, cfg, seed)
+        want = run_states(train_reference(data, dims, cfg, seed))
         threads = threading.active_count()
-        got = train(data, dims, cfg, seed)
+        got = run_states(train(data, dims, cfg, seed))
         # a worker runs beside the sweeps unless it has nothing to do,
-        # and it ends with train, early stop or not
+        # and it ends with its epoch, early stop or not
         assert set(self.counts) == {threads + worker}
         assert threading.active_count() == threads
-        assert_same_state((got.params, got.offsets), (want.params, want.offsets))
-        assert_same_log(got.log, want.log)
-        assert got.stopped_early == want.stopped_early
-        return got
+        assert_same_run(got, want)
+        return got[0][-1]
 
     def test_uneven_last_batch(self, rng, monkeypatch, data_phase_on):
         data = rng.standard_normal((97, 3))
         cfg = TrainConfig(epochs_max=4, batch_size=20)
-        threads = set()
+        threads = []
         original = cgdbm.training.mean_field_data
 
         def watched(*args):
-            threads.add(threading.current_thread())
+            threads.append(threading.current_thread())
             return original(*args)
 
         monkeypatch.setattr(cgdbm.training, "mean_field_data", watched)
@@ -494,7 +540,9 @@ class TestTrainMatchesReference:
         res = self.check(data, (3, 5, 2), cfg, seed=7)
         assert len(res.log) == 4
         assert (threading.main_thread() in threads) == (data_phase_on == "inline")
-        assert len(threads) == 1
+        # each epoch runs its five data phases on one thread
+        assert len(threads) == 20
+        assert {len(set(threads[i:i + 5])) for i in range(0, 20, 5)} == {1}
 
     def test_mean_field_damping(self, monkeypatch):
         # Found by a random search over small runs: with a large rate and
@@ -541,19 +589,15 @@ class TestTrainMatchesReference:
         data = data + rng.standard_normal((40, 2)) * 1e-9
         cfg = TrainConfig(epochs_max=200, batch_size=10, patience=3,
                           learning_rate_start=1e-6, learning_rate_end=1e-6)
-        assert self.check(data, (2, 3, 2), cfg, seed=5).stopped_early
+        assert self.check(data, (2, 3, 2), cfg, seed=5).stall == cfg.patience
 
     def test_divergence(self, rng):
         data = rng.standard_normal((60, 3)) * 50.0
-        with pytest.raises(TrainingDiverged) as want:
-            train_reference(data, (3, 4, 2), DIVERGING, seed=3)
-        with pytest.raises(TrainingDiverged) as got:
-            train(data, (3, 4, 2), DIVERGING, seed=3)
-        assert str(got.value) == str(want.value)
-        assert_same_state((got.value.params, got.value.offsets),
-                          (want.value.params, want.value.offsets))
-        assert_same_log(got.value.log, want.value.log)
-
+        _, error = run_states(train_reference(data, (3, 4, 2), DIVERGING,
+                                              seed=3))
+        assert str(error).startswith("training diverged in epoch 8: ")
+        # check compares the messages too
+        assert len(self.check(data, (3, 4, 2), DIVERGING, seed=3).log) == 8
 
     def test_concurrent_runs_with_fast_thread_switching(self, rng):
         # three runs at once (six threads on the cores) with the
@@ -565,7 +609,7 @@ class TestTrainMatchesReference:
         results = {}
 
         def run(seed):
-            results[seed] = train(data, (3, 5, 2), cfg, seed)
+            results[seed] = run_states(train(data, (3, 5, 2), cfg, seed))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -580,58 +624,30 @@ class TestTrainMatchesReference:
         finally:
             sys.setswitchinterval(interval)
         for seed in seeds:
-            want = train_reference(data, (3, 5, 2), cfg, seed)
-            got = results[seed]
-            assert_same_state((got.params, got.offsets),
-                              (want.params, want.offsets))
-            assert_same_log(got.log, want.log)
-
-
-@pytest.mark.usefixtures("data_phase_on")
-class TestTrainBuffers:
-    """train() updates its arrays in place; none of them may leak out."""
-
-    def test_progress_snapshots_stay_unchanged(self, rng, monkeypatch):
-        data = rng.standard_normal((80, 3))
-        cfg = TrainConfig(epochs_max=4, batch_size=20)
-        seen, copies = [], []
-
-        def progress(rec, p, c, log):
-            seen.append((p, c))
-            copies.append(tuple(a.copy() for a in state_arrays(p, c)))
-
-        buffers = []
-        original = cgdbm.training.gibbs_model_step
-
-        def watched(chains, p, c, noise, sweep=0):
-            if not buffers:
-                buffers.extend(state_arrays(p, c))
-            return original(chains, p, c, noise, sweep)
-
-        monkeypatch.setattr(cgdbm.training, "gibbs_model_step", watched)
-        res = train(data, (3, 4, 2), cfg, seed=7, progress=progress)
-        assert len(seen) == 4
-        for (p, c), copy in zip(seen, copies):
-            for a, b in zip(state_arrays(p, c), copy):
-                np.testing.assert_array_equal(a, b)
-        assert_same_state((res.params, res.offsets), seen[-1])
-        for a in state_arrays(res.params, res.offsets):
-            assert not any(np.shares_memory(a, b) for b in buffers)
-
-    def test_divergence_carries_last_progress_snapshot(self, rng):
-        data = rng.standard_normal((60, 3)) * 50.0
-        seen = []
-        with pytest.raises(TrainingDiverged) as exc_info:
-            train(data, (3, 4, 2), DIVERGING, seed=3,
-                  progress=lambda rec, p, c, log: seen.append((p, c)))
-        exc = exc_info.value
-        assert len(seen) == len(exc.log) == 8
-        assert_same_state((exc.params, exc.offsets), seen[-1])
+            assert_same_run(results[seed], run_states(
+                train_reference(data, (3, 5, 2), cfg, seed)))
 
 
 @pytest.mark.usefixtures("data_phase_on")
 class TestWorkerThread:
-    """train() leaves no thread behind when it raises."""
+    """No worker thread is alive while train() waits at a yield, and none
+    is left when it raises or is closed."""
+
+    def test_no_worker_at_a_yield(self, rng):
+        before = threading.active_count()
+        for _ in train(rng.standard_normal((90, 3)), (3, 4, 2),
+                       TrainConfig(epochs_max=3, batch_size=20), seed=7):
+            assert threading.active_count() == before
+
+    def test_close_after_two_yields(self, rng):
+        before = threading.active_count()
+        steps = train(rng.standard_normal((90, 3)), (3, 4, 2),
+                      TrainConfig(epochs_max=3, batch_size=20), seed=7)
+        next(steps)
+        next(steps)
+        assert threading.active_count() == before
+        steps.close()
+        assert threading.active_count() == before
 
     def test_divergence_with_a_block_pending(self, rng, monkeypatch):
         # the update of the first of five batches fails after the
@@ -644,9 +660,10 @@ class TestWorkerThread:
 
         monkeypatch.setattr(cgdbm.training, "apply_updates", failing)
         before = threading.active_count()
-        with pytest.raises(TrainingDiverged, match="epoch 0: injected"):
-            train(rng.standard_normal((90, 3)), (3, 4, 2),
-                  TrainConfig(epochs_max=2, batch_size=20), seed=7)
+        with pytest.raises(NumericError, match="epoch 0: injected"):
+            for _ in train(rng.standard_normal((90, 3)), (3, 4, 2),
+                           TrainConfig(epochs_max=2, batch_size=20), seed=7):
+                pass
         assert threading.active_count() == before
 
 
@@ -664,5 +681,5 @@ class TestConfigValidation:
     def test_width_mismatch_rejected(self, rng):
         data = rng.standard_normal((30, 4))
         with pytest.raises(ShapeError):
-            train(data, (3, 4, 2), TrainConfig(epochs_max=1, batch_size=10),
-                  seed=0)
+            next(train(data, (3, 4, 2),
+                       TrainConfig(epochs_max=1, batch_size=10), seed=0))
