@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .io import format_float
-from .model import ModelParams, Offsets
+from .model import ModelParams, Offsets, load_stdtrit
 from .sampling import random_control_frames
 from .stimuli import Whitener, default_frequencies, generate_gratings, whiten
 from .training import TrainConfig, mean_field_data
@@ -79,9 +79,7 @@ def significance_threshold(n: int, alpha: float) -> float:
         raise DomainError("need n >= 4 samples")
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    from scipy.special import stdtrit  # loaded only by the stage that needs it
-
-    t = float(stdtrit(n - 2, 1.0 - alpha / 2.0))
+    t = float(load_stdtrit()(n - 2, 1.0 - alpha / 2.0))
     return t / np.sqrt(t * t + n - 2)
 
 
@@ -294,35 +292,36 @@ def top_active_filters(values, k: int = 25) -> np.ndarray:
     return order[:k]
 
 
-def second_layer_rf(params: ModelParams, whitener: Whitener, unit_k: int,
+def second_layer_rf(params: ModelParams, back: np.ndarray, unit_k: int,
                     top: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """Composite pixel-space receptive field of one second-layer unit.
 
     Takes the `top` first-layer filters with the largest absolute
     coupling to the unit (descending, ties by ascending index) and back-
-    projects their coupling-weighted sum through the whitener basis.
-    Filters are directions, so the projection omits the mean shift: a
-    negated coupling column exactly negates the image.
+    projects their coupling-weighted sum through `back`, the whitener's
+    `dewhitening_matrix`.  Filters are directions, so the projection
+    omits the mean shift: a negated coupling column exactly negates the
+    image.
     """
     if not (0 <= unit_k < params.U.shape[1]):
         raise DomainError(f"unit index {unit_k} out of range")
     col = params.U[:, unit_k]
     idx = top_active_filters(np.abs(col), k=min(top, col.size))
-    composite = params.W[:, idx] @ col[idx]
-    image = dewhiten_direction(whitener, composite)
+    image = (params.W[:, idx] @ col[idx]) @ back
     return image, idx
 
 
-def dewhiten_direction(w: Whitener, rows) -> np.ndarray:
-    """Back-project direction vectors (filters, not data points) to pixel
-    space: the linear part of dewhitening, with no mean shift."""
-    v = np.asarray(rows, dtype=np.float64)
-    return v @ (w.basis * np.sqrt(w.eigvals)).T
+def dewhitening_matrix(w: Whitener) -> np.ndarray:
+    """(k, D) matrix that back-projects whitened direction vectors
+    (filters, not data points) to pixel space, as rows @ matrix: the
+    linear part of dewhitening, with no mean shift."""
+    return (w.basis * np.sqrt(w.eigvals)).T
 
 
-def first_layer_filters(params: ModelParams, whitener: Whitener) -> np.ndarray:
-    """All first-layer filters as pixel-space rows, one per hidden unit."""
-    return dewhiten_direction(whitener, params.W.T)
+def first_layer_filters(params: ModelParams, back: np.ndarray) -> np.ndarray:
+    """All first-layer filters as pixel-space rows, one per hidden unit;
+    `back` is the whitener's `dewhitening_matrix`."""
+    return params.W.T @ back
 
 
 def orientation_selectivity(map_set: OrientationMapSet) -> np.ndarray:
@@ -405,8 +404,9 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
     som_best, som_best_r = correlate_som(som, map_set)
     osi = orientation_selectivity(map_set)
 
-    filters = first_layer_filters(params, whitener)
-    rf = np.array([second_layer_rf(params, whitener, k)[0] for k in range(N)])
+    back = dewhitening_matrix(whitener)
+    filters = first_layer_filters(params, back)
+    rf = np.array([second_layer_rf(params, back, k)[0] for k in range(N)])
     if ctrl_rep.significant_fraction > 0:
         ratio = rep.significant_fraction / ctrl_rep.significant_fraction
     else:

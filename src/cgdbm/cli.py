@@ -137,13 +137,14 @@ def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
 # --- analyze ------------------------------------------------------------------
 
 def _correlation_rows(report, orientations) -> list[list]:
-    rows = []
-    for i in range(report.r.shape[0]):
-        pref = report.preference[i]
-        rows.append([i] + list(report.r[i])
-                    + [np.max(np.abs(report.r[i])), int(report.significant[i]),
-                       orientations[pref] if pref >= 0 else -1.0])
-    return rows
+    """One row per frame: its index, r against each orientation, the
+    largest |r|, 1 if significant else 0, and the preferred orientation
+    or -1, as one (F, K + 4) float table."""
+    r = report.r
+    preference = np.where(report.preference >= 0,
+                          orientations[report.preference], -1.0)
+    return np.column_stack([np.arange(r.shape[0]), r, np.abs(r).max(axis=1),
+                            report.significant, preference]).tolist()
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:

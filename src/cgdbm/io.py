@@ -258,9 +258,12 @@ def format_float(x: float) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Header and rows, comma-separated.  A numeric cell is written as
+    format_float writes it: ``"%.17g" % cell`` gives the same text for
+    ints, floats and bools, numpy's included, without a call per cell."""
     with open_atomic(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [cell if isinstance(cell, str) else format_float(cell)
+            cells = [cell if isinstance(cell, str) else "%.17g" % cell
                      for cell in row]
             fh.write(",".join(cells) + "\n")

@@ -22,7 +22,7 @@ from cgdbm.analysis import (
     AnalysisConfig,
     OrientationMapSet,
     correlate,
-    dewhiten_direction,
+    dewhitening_matrix,
     significance_threshold,
     train_som,
 )
@@ -183,7 +183,7 @@ def test_a05_whitening_identities():
     cov_err = float(np.abs(cov - np.eye(12)).max())
     assert cov_err <= 1e-6, f"whitened covariance off identity by {cov_err:.3e}"
     fresh = rng.standard_normal((50, 36)) @ mix + rng.standard_normal(36)
-    got = dewhiten_direction(w, whiten(w, fresh)) + w.mean
+    got = whiten(w, fresh) @ dewhitening_matrix(w) + w.mean
     want = (fresh - w.mean) @ (w.basis @ w.basis.T) + w.mean
     proj_err = float(np.abs(got - want).max())
     assert proj_err <= 1e-8, f"round trip off the projection by {proj_err:.3e}"

@@ -1,6 +1,8 @@
 """Correlation statistics, SOM behavior, and filter-summary checks."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from cgdbm.analysis import (AnalysisConfig, OrientationMapSet,
                             SomModel, analyze, circular_distance,
-                            correlate, correlate_som, dewhiten_direction,
+                            correlate, correlate_som, dewhitening_matrix,
                             first_layer_filters, orientation_maps,
                             orientation_selectivity, quantization_error,
                             second_layer_rf, significance_threshold,
@@ -99,6 +101,77 @@ def test_threshold_matches_t_quantile_exactly():
             t = float(stats.t.ppf(1.0 - alpha / 2.0, n - 2))
             want = t / np.sqrt(t * t + n - 2)
             assert significance_threshold(n, alpha) == want
+
+
+THRESHOLD_GRID = [(n, alpha) for n in (4, 5, 30, 64, 200, 900, 20000)
+                  for alpha in (1e-6, 0.01, 0.05, 0.5)]
+
+THRESHOLD_PROBE = """
+import sys
+{prelude}
+from cgdbm.analysis import significance_threshold
+from cgdbm.model import load_stdtrit
+print(*[significance_threshold(n, a).hex() for n, a in {grid}])
+print('scipy.special' in sys.modules)
+loaded = load_stdtrit()
+import scipy.special
+print(loaded is scipy.special.stdtrit)
+"""
+
+
+def run_threshold_probe(prelude: str) -> list[str]:
+    """significance_threshold over THRESHOLD_GRID in a fresh interpreter
+    after `prelude`: the values as float.hex, whether scipy.special was
+    imported, and whether load_stdtrit gave scipy.special's stdtrit."""
+    from scipy.special import stdtrit
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         THRESHOLD_PROBE.format(prelude=prelude, grid=THRESHOLD_GRID)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    values, special, same = proc.stdout.strip().split("\n")
+    want = []
+    for n, alpha in THRESHOLD_GRID:
+        t = float(stdtrit(n - 2, 1.0 - alpha / 2.0))
+        want.append((t / np.sqrt(t * t + n - 2)).hex())
+    assert values.split() == want
+    return [special, same]
+
+
+def test_threshold_skips_scipy_special_init():
+    # a fresh process loads stdtrit from scipy.special._ufuncs without
+    # the package init; the bits are scipy.special.stdtrit's, and a later
+    # import of the package hands out the very same ufunc
+    assert run_threshold_probe("") == ["False", "True"]
+
+
+_ORIG = "import importlib, importlib.util; orig = {}\n"
+
+
+@pytest.mark.parametrize("prelude", [
+    pytest.param("import scipy.special", id="already_imported"),
+    pytest.param(_ORIG.format("importlib.util.find_spec") +
+                 "importlib.util.find_spec = lambda name, package=None: "
+                 "None if name == 'scipy.special' else orig(name, package)",
+                 id="no_spec"),
+    pytest.param(_ORIG.format("importlib.import_module") +
+                 "def fail(name, package=None):\n"
+                 "    if name == 'scipy.special._ufuncs':\n"
+                 "        raise ImportError('undefined symbol')\n"
+                 "    return orig(name, package)\n"
+                 "importlib.import_module = fail",
+                 id="import_error"),
+    pytest.param(_ORIG.format("importlib.import_module") +
+                 "importlib.import_module = lambda name, package=None: "
+                 "sys if name == 'scipy.special._ufuncs' "
+                 "else orig(name, package)",
+                 id="no_stdtrit"),
+])
+def test_threshold_fallback_gives_same_bits(prelude):
+    # when scipy.special is already imported, or the direct load finds no
+    # package, fails to import or has no stdtrit, stdtrit comes from
+    # scipy.special, with the same bits
+    assert run_threshold_probe(prelude) == ["True", "True"]
 
 
 # --- correlate ----------------------------------------------------------------
@@ -385,13 +458,14 @@ def test_second_layer_rf_one_hot_and_linearity(rng):
     U = np.zeros((M, N))
     U[2, 1] = -1.5
     p1 = ModelParams(W=p.W, U=U, b_y=p.b_y, b_z=p.b_z, sigma2=p.sigma2)
-    img, idx = second_layer_rf(p1, w, 1, top=6)
+    back = dewhitening_matrix(w)
+    img, idx = second_layer_rf(p1, back, 1, top=6)
     assert idx[0] == 2
     np.testing.assert_allclose(
-        img, dewhiten_direction(w, -1.5 * p.W[:, 2]), atol=1e-12)
+        img, -1.5 * p.W[:, 2] @ back, atol=1e-12)
     # negating the coupling column negates the image
     p2 = ModelParams(W=p.W, U=-U, b_y=p.b_y, b_z=p.b_z, sigma2=p.sigma2)
-    img2, _ = second_layer_rf(p2, w, 1, top=6)
+    img2, _ = second_layer_rf(p2, back, 1, top=6)
     np.testing.assert_allclose(img2, -img, atol=1e-12)
 
 
@@ -400,7 +474,8 @@ def test_second_layer_rf_matches_bruteforce(rng):
     p, c = random_model(rng, L, M, N)
     x = rng.normal(size=(300, 16))
     w = fit_whitener(x, L)
-    img, idx = second_layer_rf(p, w, 2, top=6)
+    back = dewhitening_matrix(w)
+    img, idx = second_layer_rf(p, back, 2, top=6)
     assert len(idx) == 6
     # descending coupling magnitude
     mags = np.abs(p.U[idx, 2])
@@ -408,19 +483,19 @@ def test_second_layer_rf_matches_bruteforce(rng):
     acc = np.zeros(L)
     for j in idx:
         acc += p.U[j, 2] * p.W[:, j]
-    np.testing.assert_allclose(img, dewhiten_direction(w, acc), atol=1e-12)
+    np.testing.assert_allclose(img, acc @ back, atol=1e-12)
     with pytest.raises(DomainError):
-        second_layer_rf(p, w, N)
+        second_layer_rf(p, back, N)
 
 
 def test_first_layer_filters_shape(rng):
     p, c = random_model(rng, 4, 6, 2)
     x = rng.normal(size=(200, 9))
     w = fit_whitener(x, 4)
-    filters = first_layer_filters(p, w)
+    back = dewhitening_matrix(w)
+    filters = first_layer_filters(p, back)
     assert filters.shape == (6, 9)
-    np.testing.assert_allclose(filters[3], dewhiten_direction(w, p.W[:, 3]),
-                               atol=1e-14)
+    np.testing.assert_allclose(filters[3], p.W[:, 3] @ back, atol=1e-14)
 
 
 # --- orientation selectivity ----------------------------------------------------

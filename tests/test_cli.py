@@ -372,10 +372,9 @@ print(on_import, rc, 'scipy' in sys.modules, special is not None,
 def test_cli_import_and_report_skip_scipy(run_dir, tmp_path):
     # each stage is a fresh process and pays for every import it makes.
     # Importing the CLI loads no scipy; prepare and report never load it;
-    # train and sample load only the compiled module that holds expit,
-    # not scipy.special, whose package init costs about 0.3 s; analyze
-    # imports scipy.special for stdtrit after sigmoid has loaded that
-    # module on its own, and still succeeds
+    # train, sample and analyze load only the compiled modules that hold
+    # expit and stdtrit, never scipy.special, whose package init costs
+    # about 0.3 s
     root, cfg, _ = run_dir
     out = tmp_path / "run"
     base = ["--config", str(cfg), "--out-dir", str(out)]
@@ -391,4 +390,4 @@ def test_cli_import_and_report_skip_scipy(run_dir, tmp_path):
         seen[stage] = (scipy, special, own_expit)
     assert seen["prepare"] == seen["report"] == ("False", "False", "False")
     assert seen["train"][1:] == seen["sample"][1:] == ("False", "False")
-    assert seen["analyze"] == ("True", "True", "True")
+    assert seen["analyze"] == ("True", "False", "False")

@@ -276,6 +276,20 @@ def test_format_float_round_trips_doubles(rng):
         assert float(format_float(float(x))) == float(x)
 
 
+def test_write_csv_golden_bytes(tmp_path):
+    # numeric cells are written exactly as format_float writes them
+    path = tmp_path / "t.csv"
+    row = ["s", 7, np.int64(-3), np.float64(2.5), True, False, np.inf,
+           -np.inf, np.nan, -0.0, 5e-324, 1e16, 0.1]
+    write_csv(path, [f"c{i}" for i in range(len(row))], [row])
+    assert path.read_bytes() == (
+        b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12\n"
+        b"s,7,-3,2.5,1,0,inf,-inf,nan,-0,4.9406564584124654e-324,"
+        b"10000000000000000,0.10000000000000001\n")
+    assert path.read_text().split("\n")[1].split(",")[1:] == [
+        format_float(cell) for cell in row[1:]]
+
+
 def test_write_csv(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[1.5, 2.0], [3.25, -1.0]])
