@@ -31,7 +31,7 @@ from .sampling import average_initial_probability, run_spontaneous_session
 from .stimuli import (extract_patches, fit_whitener, load_grayscale_images,
                       load_whitener, mean_centered_norm, save_whitener, whiten)
 from .training import EpochRecord, train
-from .viz import save_montage_pgm, save_svg_montage
+from .viz import save_montage_pgm
 
 # artifact filenames within the run directory
 TRAIN_WHITE = "train_white.cgmat"
@@ -173,10 +173,6 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                 meta={"kind": "orientation_maps",
                       "orientations": ",".join(format_float(t) for t in
                                                orientations)})
-    write_csv(out_dir / "orientation_maps.csv",
-              ["orientation_deg"] + [f"unit_{j}" for j in range(M)],
-              [[theta] + list(row)
-               for theta, row in zip(orientations, res.maps.maps)])
     corr_header = (["frame"] + [f"r_{format_float(t)}" for t in orientations]
                    + ["max_abs_r", "significant", "preference_deg"])
     write_csv(out_dir / "correlation.csv", corr_header,
@@ -191,21 +187,16 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                enumerate(zip(res.som_best, res.som_best_r))])
     write_csv(out_dir / "osi.csv", ["unit", "osi"], enumerate(res.osi))
 
+    # montage tiles run row-major: filters and receptive fields in unit
+    # order, the most active filters in the rank order of top_active.csv
     cols = int(np.ceil(np.sqrt(M)))
     save_montage_pgm(out_dir / "filters.pgm", res.filters, cols)
-    save_svg_montage(out_dir / "filters.svg", res.filters, cols,
-                     title="first-layer filters")
     rf_cols = int(np.ceil(np.sqrt(N)))
     save_montage_pgm(out_dir / "rf_second_layer.pgm", res.rf_second_layer,
                      rf_cols)
-    save_svg_montage(out_dir / "rf_second_layer.svg", res.rf_second_layer,
-                     rf_cols, labels=[f"z{k}" for k in range(N)],
-                     title="second-layer receptive fields")
     top = res.top_active
     save_montage_pgm(out_dir / "top_active.pgm", res.filters[top], 5)
-    save_svg_montage(out_dir / "top_active.svg", res.filters[top], 5,
-                     labels=[f"y{j}" for j in top],
-                     title="most active filters")
+    write_csv(out_dir / "top_active.csv", ["rank", "unit"], enumerate(top))
 
     with open_atomic(out_dir / "summary.txt") as fh:
         fh.write("\n".join(res.summary) + "\n")
@@ -239,7 +230,7 @@ def cmd_report(out_dir: Path) -> int:
         if path.name == "report.txt":
             continue
         if path.is_file() and path.suffix in (".cgmat", ".cgdbm", ".csv",
-                                              ".pgm", ".svg", ".txt"):
+                                              ".pgm", ".txt"):
             lines.append(f"{path.name} bytes={path.stat().st_size}")
     text = "\n".join(lines) + "\n"
     with open_atomic(out_dir / "report.txt") as fh:

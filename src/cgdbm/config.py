@@ -7,18 +7,19 @@ Grammar, line by line:
     [data]                   section header
     image_dir = corpus       string value
     patch_side = 12          int value
-    train_fraction = 0.9     float value
+    train_fraction = 0.9     float value, finite
 
-Sections are data, model, training, sampling, and analysis; every key
-maps to a field of the matching config dataclass.  Unknown sections or
-keys are errors, as is a repeated key.  Values never span lines.  No
-section has a seed: the CLI derives each stage's seed from the single
-global seed with `stage_seed` and passes it to the stage, so one number
-pins the whole pipeline.
+The file is UTF-8.  Sections are data, model, training, sampling, and
+analysis; every key maps to a field of the matching config dataclass.
+Unknown sections or keys are errors, as is a repeated key.  Values never
+span lines.  No section has a seed: the CLI derives each stage's seed
+from the single global seed with `stage_seed` and passes it to the
+stage, so one number pins the whole pipeline.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -135,14 +136,14 @@ def _strip_comment(line: str) -> str:
 
 def _convert(raw: str, target_type, where: str):
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
+        value = target_type(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as "
                           f"{target_type.__name__}") from None
-    return raw
+    # validate()'s range checks would let NaN through
+    if target_type is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -196,4 +197,8 @@ def load_config(path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8: {exc}") from None
+    return parse_config(text)

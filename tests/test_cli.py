@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cgdbm.io
-from cgdbm.analysis import analyze
+from cgdbm.analysis import analyze, top_active_filters
 from cgdbm.cli import main
 from cgdbm.config import load_config, stage_seed
 from cgdbm.io import (load_matrix, load_model, save_matrix, save_model,
@@ -82,12 +82,18 @@ def test_sample_outputs(run_dir):
 
 def test_analyze_outputs(run_dir):
     root, cfg, out = run_dir
-    for name in ("orientation_maps.cgmat", "orientation_maps.csv",
-                 "correlation.csv", "control_correlation.csv",
-                 "preference_hist.csv", "som.csv", "osi.csv", "summary.txt",
-                 "filters.pgm", "filters.svg", "rf_second_layer.pgm",
-                 "rf_second_layer.svg", "top_active.pgm", "top_active.svg"):
-        assert (out / name).is_file(), name
+    assert {p.name for p in out.iterdir()} == {
+        "train_white.cgmat", "test_white.cgmat", "whitener.cgmat",
+        "model.cgdbm", "checkpoint.cgdbm", "train_log.csv",
+        "frames.cgmat", "p_init.cgmat",
+        "orientation_maps.cgmat", "correlation.csv",
+        "control_correlation.csv", "preference_hist.csv", "som.csv",
+        "osi.csv", "summary.txt", "filters.pgm", "rf_second_layer.pgm",
+        "top_active.pgm", "top_active.csv", "report.txt"}
+    frames, _ = load_matrix(out / "frames.cgmat")
+    top = top_active_filters(frames.mean(axis=0), k=min(25, 12))
+    rows = (out / "top_active.csv").read_text().strip().split("\n")
+    assert rows == ["rank,unit"] + [f"{i},{j}" for i, j in enumerate(top)]
     maps, meta = load_matrix(out / "orientation_maps.cgmat")
     assert maps.shape == (8, 12)
     assert np.all((maps >= 0) & (maps <= 1))
@@ -130,7 +136,7 @@ def test_reruns_are_bit_identical(run_dir, tmp_path):
     assert main(["analyze", *base]) == 0
     for name in ("train_white.cgmat", "whitener.cgmat", "model.cgdbm",
                  "frames.cgmat", "summary.txt", "filters.pgm",
-                 "filters.svg", "correlation.csv"):
+                 "top_active.csv", "correlation.csv"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -189,6 +195,11 @@ def test_exit_codes(run_dir, tmp_path):
     base = ["--config", str(cfg), "--out-dir", str(empty)]
     # missing config file
     assert main(["prepare", "--config", str(tmp_path / "no.cfg"),
+                 "--out-dir", str(empty)]) == 2
+    # a config file that is not UTF-8
+    utf16 = tmp_path / "utf16.cfg"
+    utf16.write_bytes(b"\xff\xfe" + cfg.read_text().encode("utf-16-le"))
+    assert main(["prepare", "--config", str(utf16),
                  "--out-dir", str(empty)]) == 2
     # negative seed, from the command line or the config
     assert main(["prepare", *base, "--seed", "-1"]) == 2

@@ -95,6 +95,13 @@ def test_defaults_when_sections_missing():
     ("[training]\nepochs_max = -1\n", "epochs_max"),
     ("[data]\npatch_side = 1\n", "patch_side must be at least 2"),
     ("seed = -3\n", "seed must be nonnegative"),
+    # the range checks in validate() cannot see NaN, so parsing rejects
+    # every non-finite float
+    ("[analysis]\nsom_radius_end = nan\n", "'nan' is not a finite number"),
+    ("[training]\nlearning_rate_start = inf\n",
+     "'inf' is not a finite number"),
+    ("[training]\nlearning_rate_start = -inf\n",
+     "'-inf' is not a finite number"),
     # checks across sections, for what analyze needs
     ("[data]\npatch_side = 3\npca_k = 9\n[model]\nL = 9\n",
      "patch_side too small for the default frequencies"),
@@ -115,6 +122,13 @@ def test_comments_and_blank_lines_ignored():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "none.cfg")
+
+
+def test_load_config_not_utf8(tmp_path):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe" + "seed = 1\n".encode("utf-16-le"))
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
 
 
 def test_load_config_round_trip(tmp_path):

@@ -1,14 +1,11 @@
-"""Montage geometry and PNG/SVG output determinism."""
-
-import zlib
+"""Montage geometry and PGM output."""
 
 import numpy as np
 import pytest
 
 from cgdbm.errors import ShapeError
 from cgdbm.io import read_pgm
-from cgdbm.viz import (montage, normalize_tile, png_gray_bytes,
-                       save_montage_pgm, save_svg_montage)
+from cgdbm.viz import montage, normalize_tile, save_montage_pgm
 
 
 def test_normalize_tile():
@@ -47,35 +44,3 @@ def test_montage_pgm_round_trip(tmp_path, rng):
     save_montage_pgm(path, tiles, cols=2)
     img = read_pgm(path)
     assert img.shape == (15, 15)
-
-
-def test_png_bytes_valid_and_deterministic(rng):
-    img = rng.uniform(size=(9, 13))
-    data1 = png_gray_bytes(img)
-    data2 = png_gray_bytes(img)
-    assert data1 == data2
-    assert data1.startswith(b"\x89PNG\r\n\x1a\n")
-    assert data1.endswith(b"IEND" + zlib.crc32(b"IEND").to_bytes(4, "big"))
-    # decode the IDAT back and compare pixels
-    idat_start = data1.index(b"IDAT") + 4
-    idat_len = int.from_bytes(data1[idat_start - 8:idat_start - 4], "big")
-    raw = zlib.decompress(data1[idat_start:idat_start + idat_len])
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(9, 14)[:, 1:]
-    np.testing.assert_array_equal(
-        rows, np.rint(np.clip(img, 0, 1) * 255).astype(np.uint8))
-
-
-def test_svg_montage_written(tmp_path, rng):
-    tiles = [rng.uniform(size=(5, 5)) for _ in range(6)]
-    path = tmp_path / "m.svg"
-    save_svg_montage(path, tiles, cols=3, labels=[f"u{i}" for i in range(6)],
-                     title="filters")
-    text = path.read_text()
-    assert text.startswith("<svg ")
-    assert "data:image/png;base64," in text
-    assert ">u5<" in text and ">filters<" in text
-    save_svg_montage(tmp_path / "m2.svg", tiles, cols=3,
-                     labels=[f"u{i}" for i in range(6)], title="filters")
-    assert (tmp_path / "m2.svg").read_text() == text
-    with pytest.raises(ShapeError):
-        save_svg_montage(tmp_path / "bad.svg", tiles, cols=3, labels=["x"])
