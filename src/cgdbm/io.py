@@ -1,20 +1,20 @@
-"""Artifact files: model snapshots, matrix containers, PGM images, CSVs.
+"""Artifact files: matrix containers, PGM images, CSVs.
 
-Both binary formats share one framing: an ascii magic line, ascii
-``key=value`` header lines closed by one blank line, a little-endian
-float64 payload, and a trailing 8-byte BLAKE2b digest of every byte
-before it (magic, header and payload), so an edited header value is
-caught like a flipped payload bit.  Model snapshots use magic ``CGDBM3``
-and carry the parameter arrays in a fixed order; everything else
-(datasets, frames, whiteners) travels in ``CGMAT3`` matrix containers
-with free-form metadata keys.  Version-1 files (CRC-64 trailer) and
-version-2 files (digest of the payload only) are rejected as bad magic.
+Every binary artifact is a ``CGMAT3`` matrix container: an ascii magic
+line, ascii ``key=value`` header lines in sorted key order closed by one
+blank line, a little-endian float64 payload of ``rows`` x ``cols``, and a
+trailing 8-byte BLAKE2b digest of every byte before it (magic, header and
+payload), so an edited header value is caught like a flipped payload bit.
+The header key ``kind`` names the content.  A model snapshot is a
+``kind=model`` container holding one row ``[W, U, b_y, b_z, sigma2, c_x,
+c_y, c_z]`` with its dims in the ``L``, ``M`` and ``N`` keys.  Files of
+older formats (magics ``CGMAT1``, ``CGMAT2`` and the model-only
+``CGDBM1`` to ``CGDBM3``) are rejected as bad magic.
 
-Writers emit headers in sorted key order and never include timestamps, so
-rewriting the same content produces byte-identical files.  Every artifact
-writer goes through `open_atomic`: it writes ``<name>.tmp`` beside the
-target and renames it into place, so a write that fails midway leaves
-the previous file intact.
+Writers never include timestamps, so rewriting the same content produces
+byte-identical files.  Every artifact writer goes through `open_atomic`:
+it writes ``<name>.tmp`` beside the target and renames it into place, so
+a write that fails midway leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from .errors import FormatError
 from .model import ModelParams, Offsets
 
-MODEL_MAGIC = b"CGDBM3\n"
 MATRIX_MAGIC = b"CGMAT3\n"
 
 
@@ -49,16 +48,36 @@ def open_atomic(path, mode: str = "w", **kwargs):
         raise
 
 
-def _write_framed(path, magic: bytes, header: dict[str, str],
-                  payload: bytes) -> None:
+def _header_int(header: dict[str, str], key: str, path) -> int:
+    """A dimension from the header: an integer, zero or more."""
+    try:
+        value = int(header[key])
+    except KeyError:
+        raise FormatError(f"{path}: missing header key {key!r}") from None
+    except ValueError:
+        raise FormatError(f"{path}: header key {key!r} is not an integer") from None
+    if value < 0:
+        raise FormatError(f"{path}: header key {key!r} is negative ({value})")
+    return value
+
+
+def save_matrix(path, array, meta: dict[str, str] | None = None) -> None:
+    a = np.atleast_2d(np.asarray(array, dtype=np.float64))
+    header = dict(meta or {})
+    for key in ("rows", "cols"):
+        if key in header:
+            raise ValueError(f"meta must not override {key!r}")
+    header["rows"] = str(a.shape[0])
+    header["cols"] = str(a.shape[1])
     for k, v in header.items():
         if ("\n" in k or "=" in k or "\n" in v
                 or not (k.isascii() and v.isascii())):
             raise ValueError(f"header entry {k!r}={v!r}: keys and values must "
                              "be ascii, keys may not contain '=' or a "
                              "newline, values may not contain a newline")
-    head = magic + b"".join(f"{k}={header[k]}\n".encode("ascii")
-                            for k in sorted(header)) + b"\n"
+    head = MATRIX_MAGIC + b"".join(f"{k}={header[k]}\n".encode("ascii")
+                                   for k in sorted(header)) + b"\n"
+    payload = np.ascontiguousarray(a, dtype="<f8")
     # two updates, so the payload (many megabytes for a dataset) is
     # never copied to sit next to the header
     digest = hashlib.blake2b(head, digest_size=8)
@@ -69,16 +88,15 @@ def _write_framed(path, magic: bytes, header: dict[str, str],
         fh.write(digest.digest())
 
 
-def _read_framed(path, magic: bytes, payload_count) -> tuple[dict[str, str], np.ndarray]:
-    """Header and payload of a framed file.  The header is parsed before
-    the digest is checked, so a malformed header reports what is wrong
-    with it.  payload_count(header) gives the number of float64 values
-    the header implies; the payload is read straight into one new array
-    of that many, so the file is held in memory once."""
+def load_matrix(path) -> tuple[np.ndarray, dict[str, str]]:
+    """The payload and the header without ``rows`` and ``cols``.  The
+    header is parsed before the digest is checked, so a malformed header
+    reports what is wrong with it.  The payload is read straight into one
+    new array, so the file is held in memory once."""
     with open(path, "rb") as fh:
-        if fh.read(len(magic)) != magic:
-            raise FormatError(f"{path}: bad magic, expected {magic!r}")
-        head = [magic]
+        if fh.read(len(MATRIX_MAGIC)) != MATRIX_MAGIC:
+            raise FormatError(f"{path}: bad magic, expected {MATRIX_MAGIC!r}")
+        head = [MATRIX_MAGIC]
         header: dict[str, str] = {}
         while True:
             raw = fh.readline()
@@ -97,11 +115,12 @@ def _read_framed(path, magic: bytes, payload_count) -> tuple[dict[str, str], np.
         found = os.fstat(fh.fileno()).st_size - fh.tell() - 8
         if found < 0:
             raise FormatError(f"{path}: truncated, no checksum")
-        count = payload_count(header)
-        if found != count * 8:
-            raise FormatError(f"{path}: header implies {count * 8} "
+        rows = _header_int(header, "rows", path)
+        cols = _header_int(header, "cols", path)
+        if found != rows * cols * 8:
+            raise FormatError(f"{path}: header implies {rows * cols * 8} "
                               f"payload bytes, found {found}")
-        payload = np.empty(count, dtype="<f8")
+        payload = np.empty((rows, cols), dtype="<f8")
         got = fh.readinto(payload)
         trailer = fh.read(9)
         if got != payload.nbytes or len(trailer) != 8:
@@ -110,70 +129,33 @@ def _read_framed(path, magic: bytes, payload_count) -> tuple[dict[str, str], np.
     digest.update(payload)
     if digest.digest() != trailer:
         raise FormatError(f"{path}: checksum mismatch")
-    return header, payload
-
-
-def _header_int(header: dict[str, str], key: str, path) -> int:
-    """A dimension from the header: an integer, zero or more."""
-    try:
-        value = int(header[key])
-    except KeyError:
-        raise FormatError(f"{path}: missing header key {key!r}") from None
-    except ValueError:
-        raise FormatError(f"{path}: header key {key!r} is not an integer") from None
-    if value < 0:
-        raise FormatError(f"{path}: header key {key!r} is negative ({value})")
-    return value
+    del header["rows"], header["cols"]
+    return payload, header
 
 
 def save_model(path, p: ModelParams, c: Offsets) -> None:
     L, M, N = p.dims
-    header = {"L": str(L), "M": str(M), "N": str(N)}
-    parts = [p.W, p.U, p.b_y, p.b_z, p.sigma2, c.c_x, c.c_y, c.c_z]
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in parts)
-    _write_framed(path, MODEL_MAGIC, header, payload)
+    row = np.concatenate([np.ravel(a) for a in (p.W, p.U, p.b_y, p.b_z,
+                                                p.sigma2, c.c_x, c.c_y,
+                                                c.c_z)])
+    save_matrix(path, row,
+                meta={"kind": "model", "L": str(L), "M": str(M), "N": str(N)})
 
 
 def load_model(path) -> tuple[ModelParams, Offsets]:
-    def payload_count(header):
-        L, M, N = (_header_int(header, key, path) for key in "LMN")
-        return L * M + M * N + 2 * (L + M + N)
-
-    header, flat = _read_framed(path, MODEL_MAGIC, payload_count)
-    L, M, N = (int(header[key]) for key in "LMN")
-    parts = []
-    pos = 0
-    for n in (L * M, M * N, M, N, L, L, M, N):
-        parts.append(flat[pos:pos + n])
-        pos += n
-    W, U, b_y, b_z, sigma2, c_x, c_y, c_z = parts
+    flat, meta = load_matrix(path)
+    if meta.get("kind") != "model":
+        raise FormatError(f"{path}: not a model container")
+    L, M, N = (_header_int(meta, key, path) for key in "LMN")
+    if flat.shape != (1, L * M + M * N + 2 * (L + M + N)):
+        raise FormatError(f"{path}: model payload does not match L={L} "
+                          f"M={M} N={N}")
+    W, U, b_y, b_z, sigma2, c_x, c_y, c_z = np.split(
+        flat[0], np.cumsum([L * M, M * N, M, N, L, L, M]))
     p = ModelParams(W=W.reshape(L, M), U=U.reshape(M, N), b_y=b_y, b_z=b_z,
                     sigma2=sigma2)
     c = Offsets(c_x=c_x, c_y=c_y, c_z=c_z)
     return p, c
-
-
-def save_matrix(path, array, meta: dict[str, str] | None = None) -> None:
-    a = np.atleast_2d(np.asarray(array, dtype=np.float64))
-    header = dict(meta or {})
-    for key in ("rows", "cols"):
-        if key in header:
-            raise ValueError(f"meta must not override {key!r}")
-    header["rows"] = str(a.shape[0])
-    header["cols"] = str(a.shape[1])
-    _write_framed(path, MATRIX_MAGIC, header,
-                  np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_matrix(path) -> tuple[np.ndarray, dict[str, str]]:
-    def payload_count(header):
-        return (_header_int(header, "rows", path)
-                * _header_int(header, "cols", path))
-
-    header, flat = _read_framed(path, MATRIX_MAGIC, payload_count)
-    a = flat.reshape(int(header["rows"]), int(header["cols"]))
-    meta = {k: v for k, v in header.items() if k not in ("rows", "cols")}
-    return a, meta
 
 
 # --- PGM images -----------------------------------------------------------
@@ -231,6 +213,8 @@ def read_pgm(path) -> np.ndarray:
         if data.size != width * height:
             raise FormatError(f"{path}: expected {width * height} pixels, "
                               f"found {data.size}")
+        if data.size and int(data.min()) < 0:
+            raise FormatError(f"{path}: negative pixel value")
     if data.size and int(data.max()) > maxval:
         raise FormatError(f"{path}: pixel value exceeds maxval")
     return data.reshape(height, width).astype(np.float64) / maxval

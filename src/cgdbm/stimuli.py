@@ -21,21 +21,16 @@ from .io import format_float, load_matrix, read_pgm, save_matrix
 
 
 def load_grayscale_images(directory) -> list[np.ndarray]:
-    """All .pgm and .cgmat images in a directory, sorted by filename.
-    PGM pixel values are scaled to [0, 1]; .cgmat matrices are taken
-    as-is."""
+    """All .pgm images in a directory (P2 or P5, 8- or 16-bit), sorted
+    by filename, with pixel values scaled to [0, 1].  Files of any other
+    suffix are skipped."""
     d = Path(directory)
     if not d.is_dir():
         raise FileNotFoundError(f"image directory {d} does not exist")
-    images = []
-    for path in sorted(d.iterdir()):
-        if path.suffix == ".pgm":
-            images.append(read_pgm(path))
-        elif path.suffix == ".cgmat":
-            arr, _ = load_matrix(path)
-            images.append(arr)
+    images = [read_pgm(path) for path in sorted(d.iterdir())
+              if path.suffix == ".pgm"]
     if not images:
-        raise FileNotFoundError(f"no .pgm or .cgmat images in {d}")
+        raise FileNotFoundError(f"no .pgm images in {d}")
     return images
 
 
@@ -161,7 +156,7 @@ def save_whitener(path, w: Whitener, patch_side: int,
     flat = np.concatenate([w.mean, w.eigvals, w.basis.ravel()])
     meta = {"patch_side": str(patch_side),
             "mean_patch_norm": format_float(mean_patch_norm),
-            "format": "whitener", "d": str(w.mean.shape[0]), "k": str(w.k)}
+            "kind": "whitener", "d": str(w.mean.shape[0]), "k": str(w.k)}
     save_matrix(path, flat[None, :], meta=meta)
 
 
@@ -170,7 +165,7 @@ def load_whitener(path) -> tuple[Whitener, dict]:
     the patch dimension d and its mean_patch_norm is finite and
     positive, so both can be read with int() and float()."""
     flat, meta = load_matrix(path)
-    if meta.get("format") != "whitener":
+    if meta.get("kind") != "whitener":
         raise FormatError(f"{path}: not a whitener container")
     try:
         d, k = int(meta["d"]), int(meta["k"])

@@ -7,15 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-import cgdbm.io
 from cgdbm.analysis import analyze, top_active_filters
 from cgdbm.cli import main
 from cgdbm.config import load_config, stage_seed
-from cgdbm.io import (load_matrix, load_model, save_matrix, save_model,
-                      write_pgm)
+from cgdbm.io import load_matrix, load_model, save_matrix, save_model
 from cgdbm.sampling import average_initial_probability, run_spontaneous_session
 from cgdbm.stimuli import load_whitener
-from cgdbm.synth import make_corpus
+from cgdbm.synth import write_corpus
 from cgdbm.training import train
 from tiny import TINY_CFG
 
@@ -25,12 +23,7 @@ def run_dir(tmp_path_factory):
     """A completed tiny pipeline run: prepare, train, sample, analyze."""
     root = tmp_path_factory.mktemp("run")
     corpus = root / "corpus"
-    corpus.mkdir()
-    for i, img in enumerate(make_corpus(4, 24, seed=5)):
-        if i == 0:
-            write_pgm(corpus / f"img_{i}.pgm", img, maxval=65535)
-        else:
-            save_matrix(corpus / f"img_{i}.cgmat", img)
+    write_corpus(corpus, 4, 24, seed=5)
     cfg_path = root / "run.cfg"
     cfg_path.write_text(TINY_CFG.format(corpus=corpus))
     out = root / "artifacts"
@@ -107,6 +100,32 @@ def test_analyze_outputs(run_dir):
     assert "threshold = " in summary
 
 
+def test_every_binary_artifact_is_one_container_kind(run_dir):
+    root, cfg, out = run_dir
+    kinds = {}
+    for path in sorted([*out.glob("*.cgmat"), *out.glob("*.cgdbm")]):
+        _, meta = load_matrix(path)
+        kinds[path.name] = meta["kind"]
+    assert kinds == {
+        "checkpoint.cgdbm": "model", "frames.cgmat": "spontaneous",
+        "model.cgdbm": "model", "orientation_maps.cgmat": "orientation_maps",
+        "p_init.cgmat": "initial_probability",
+        "test_white.cgmat": "whitened_test",
+        "train_white.cgmat": "whitened_train", "whitener.cgmat": "whitener"}
+
+
+@pytest.mark.parametrize("source, target, stage", [
+    ("whitener.cgmat", "model.cgdbm", "sample"),
+    ("model.cgdbm", "whitener.cgmat", "analyze")])
+def test_wrong_kind_exit_code(run_dir, tmp_path, source, target, stage):
+    # a valid container of another kind under an artifact's name
+    root, cfg, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.copyfile(run / source, run / target)
+    assert main([stage, "--config", str(cfg), "--out-dir", str(run)]) == 4
+
+
 def test_report_output(run_dir):
     root, cfg, out = run_dir
     text = (out / "report.txt").read_text()
@@ -121,7 +140,7 @@ def test_report_never_lists_temporary_files(run_dir, tmp_path):
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
     # what an interrupted checkpoint write leaves behind
-    (copy / "checkpoint.cgdbm.tmp").write_bytes(b"CGDBM3\nL=")
+    (copy / "checkpoint.cgdbm.tmp").write_bytes(b"CGMAT3\nL=")
     assert main(["report", "--out-dir", str(copy)]) == 0
     assert ".tmp" not in (copy / "report.txt").read_text()
 
@@ -236,8 +255,8 @@ def test_exit_codes(run_dir, tmp_path):
     assert main(["sample", *base]) == 4
     # negative model dims whose implied payload size is positive, under a
     # valid digest -> format error
-    cgdbm.io._write_framed(empty / "model.cgdbm", cgdbm.io.MODEL_MAGIC,
-                           {"L": "-4", "M": "-4", "N": "-1"}, bytes(16))
+    save_matrix(empty / "model.cgdbm", np.zeros((1, 2)),
+                meta={"kind": "model", "L": "-4", "M": "-4", "N": "-1"})
     assert main(["sample", *base]) == 4
     # report on a missing directory
     assert main(["report", "--out-dir", str(tmp_path / "nowhere")]) == 2

@@ -1,6 +1,7 @@
 """Round-trips and corruption detection for the binary containers."""
 
 import errno
+import hashlib
 import struct
 import tracemalloc
 
@@ -110,10 +111,39 @@ def test_model_wrong_magic_rejected(tmp_path):
                  # a well-formed version-2 file: the same model and the
                  # BLAKE2b-64 of its payload alone
                  b"CGDBM2\nL=1\nM=1\nN=1\n\n" + bytes(64)
-                 + bytes.fromhex("88939ddc986e59dd")]:
+                 + bytes.fromhex("88939ddc986e59dd"),
+                 # a well-formed version-3 file: the same model and the
+                 # BLAKE2b-64 of magic, header and payload
+                 b"CGDBM3\nL=1\nM=1\nN=1\n\n" + bytes(64)
+                 + bytes.fromhex("04ca6b35f5512a07")]:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="bad magic"):
             load_model(path)
+
+
+def test_model_golden_bytes(tmp_path):
+    # a model is a kind=model matrix container: one row W, U, b_y, b_z,
+    # sigma2, c_x, c_y, c_z with the dims in the header
+    path = tmp_path / "g.cgdbm"
+    one = np.ones((1, 1))
+    save_model(path, ModelParams(W=0.5 * one, U=-one, b_y=[0.25], b_z=[2.0],
+                                 sigma2=[1.5]),
+               Offsets(c_x=[0.0], c_y=[0.75], c_z=[0.125]))
+    assert path.read_bytes() == (
+        b"CGMAT3\nL=1\nM=1\nN=1\ncols=8\nkind=model\nrows=1\n\n"
+        + struct.pack("<8d", 0.5, -1.0, 0.25, 2.0, 1.5, 0.0, 0.75, 0.125)
+        + bytes.fromhex("8745fbdf3fa4948d"))
+
+
+@pytest.mark.parametrize("kind, cols, match", [
+    ("whitener", 8, "not a model container"),
+    ("model", 9, "payload does not match L=1 M=1 N=1")])
+def test_model_container_kind_and_shape_checked(tmp_path, kind, cols, match):
+    path = tmp_path / "m.cgdbm"
+    save_matrix(path, np.ones((1, cols)),
+                meta={"kind": kind, "L": "1", "M": "1", "N": "1"})
+    with pytest.raises(FormatError, match=match):
+        load_model(path)
 
 
 def test_matrix_round_trip_with_meta(rng, tmp_path):
@@ -206,17 +236,27 @@ def test_matrix_header_corruption_detected(rng, tmp_path):
         load_matrix(path)
 
 
-@pytest.mark.parametrize("magic, header, count, load", [
-    (cgdbm.io.MATRIX_MAGIC, {"rows": "-2", "cols": "-3"}, 6, load_matrix),
+def write_negative_matrix(path):
+    # rows=-2, cols=-3 imply 6 payload values; save_matrix cannot write
+    # a negative shape, so the file is framed by hand
+    body = b"CGMAT3\ncols=-3\nrows=-2\n\n" + bytes(8 * 6)
+    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+def write_negative_model(path):
     # implies 16 + 4 - 18 = 2 payload values
-    (cgdbm.io.MODEL_MAGIC, {"L": "-4", "M": "-4", "N": "-1"}, 2, load_model),
+    save_matrix(path, np.zeros((1, 2)),
+                meta={"kind": "model", "L": "-4", "M": "-4", "N": "-1"})
+
+
+@pytest.mark.parametrize("write, load", [
+    (write_negative_matrix, load_matrix), (write_negative_model, load_model),
 ], ids=["matrix", "model"])
-def test_negative_header_dimension_rejected(tmp_path, magic, header, count,
-                                            load):
+def test_negative_header_dimension_rejected(tmp_path, write, load):
     # the payload size the negative dimensions imply is positive and the
     # digest is valid, so only the header check can reject the file
     path = tmp_path / "neg"
-    cgdbm.io._write_framed(path, magic, header, bytes(8 * count))
+    write(path)
     with pytest.raises(FormatError, match="is negative"):
         load(path)
 
@@ -252,6 +292,13 @@ def test_pgm_p2_ascii_read(tmp_path):
     assert img.shape == (2, 3)
     assert img[0, 2] == pytest.approx(1.0)
     assert img[0, 1] == pytest.approx(128 / 255)
+
+
+def test_pgm_p2_negative_sample_rejected(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_text("P2\n2 2\n255\n-5 3 4 5\n")
+    with pytest.raises(FormatError, match="negative pixel"):
+        read_pgm(path)
 
 
 def test_pgm_truncated_raster_rejected(tmp_path):

@@ -1,4 +1,5 @@
-"""The desk runner, scripts/run_desk_pipeline.py, on a tiny config."""
+"""The scripts: the desk runner, scripts/run_desk_pipeline.py, on a tiny
+config, and the corpus writer, scripts/make_corpus.py."""
 
 import os
 import shutil
@@ -10,19 +11,23 @@ import numpy as np
 
 from cgdbm.cli import main
 from cgdbm.io import write_pgm
-from cgdbm.synth import write_corpus
+from cgdbm.stimuli import load_grayscale_images
+from cgdbm.synth import make_corpus, write_corpus
 from tiny import TINY_CFG
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_runner(*args) -> subprocess.CompletedProcess:
-    # the runner and its stages import this checkout's cgdbm
+def run_script(name, *args) -> subprocess.CompletedProcess:
+    # the script (and the runner's stages) import this checkout's cgdbm
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_desk_pipeline.py"),
-         *map(str, args)],
+        [sys.executable, str(REPO / "scripts" / name), *map(str, args)],
         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         capture_output=True, text=True)
+
+
+def run_runner(*args) -> subprocess.CompletedProcess:
+    return run_script("run_desk_pipeline.py", *args)
 
 
 def tiny_config(tmp_path, corpus) -> str:
@@ -84,3 +89,17 @@ def test_runner_rejects_bad_input(tmp_path):
     assert "Traceback" not in proc.stderr
     # nothing was built or run
     assert not out.exists() and not (tmp_path / "corpus").exists()
+
+
+def test_make_corpus_script_writes_the_quantized_scenes(tmp_path):
+    # the corpus is read from PGM only, so what the script writes is what
+    # prepare sees: make_corpus's scenes rounded to 16 bits
+    out = tmp_path / "corpus"
+    proc = run_script("make_corpus.py", "--out", out, "--n-images", 2,
+                      "--side", 16, "--shapes", 5)
+    assert proc.returncode == 0, proc.stderr
+    got = load_grayscale_images(out)
+    want = make_corpus(2, 16, 0, 5)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, np.rint(w * 65535) / 65535)

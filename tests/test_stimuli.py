@@ -27,12 +27,14 @@ def grating_grid(side):
 
 def test_load_images_sorted_and_mixed(tmp_path, rng):
     write_pgm(tmp_path / "b.pgm", np.zeros((4, 4)))
-    save_matrix(tmp_path / "a.cgmat", np.ones((5, 5)))
+    write_pgm(tmp_path / "a.pgm", np.ones((5, 5)))
     write_pgm(tmp_path / "c.pgm", np.full((4, 4), 0.5))
     imgs = load_grayscale_images(tmp_path)
     assert len(imgs) == 3
-    assert imgs[0].shape == (5, 5) and imgs[0][0, 0] == 1.0  # a.cgmat first
+    assert imgs[0].shape == (5, 5) and imgs[0][0, 0] == 1.0  # a.pgm first
     assert imgs[1][0, 0] == 0.0
+    # neither a matrix container nor a text file is read as an image
+    save_matrix(tmp_path / "a0.cgmat", np.ones((5, 5)))
     (tmp_path / "noise.txt").write_text("ignored")
     assert len(load_grayscale_images(tmp_path)) == 3
 
@@ -201,7 +203,7 @@ def test_whitener_round_trip(tmp_path, rng):
     for field in ("mean", "eigvals", "basis"):
         np.testing.assert_array_equal(getattr(got, field), getattr(w, field))
     assert meta == {"patch_side": "4", "mean_patch_norm": "2.5",
-                    "format": "whitener", "d": "16", "k": "5"}
+                    "kind": "whitener", "d": "16", "k": "5"}
 
 
 @pytest.mark.parametrize("key,value", [
