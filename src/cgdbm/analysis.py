@@ -218,6 +218,17 @@ def quantization_error(nodes: np.ndarray, frames: np.ndarray) -> float:
     return float(np.mean(np.sqrt(np.maximum(d2.min(axis=1), 0.0))))
 
 
+def _empty_cache_aligned(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized float64 array that starts on a 64-byte boundary.
+    malloc only promises 16 bytes, so where a small array starts depends
+    on every allocation before it, and the SOM's per-frame ufuncs run up
+    to 18% slower on some offsets (the values are the same on all)."""
+    n = shape[0] * shape[1]
+    buf = np.empty(n + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + n].reshape(shape)
+
+
 def train_som(frames, cfg: AnalysisConfig, seed: int) -> SomModel:
     """Classic online Kohonen training on a circular lattice, with the
     som_* settings of cfg and an rng seeded from `seed`.
@@ -234,13 +245,14 @@ def train_som(frames, cfg: AnalysisConfig, seed: int) -> SomModel:
         raise DomainError(f"need at least {cfg.som_nodes} frames, "
                           f"got {f.shape[0]}")
     rng = np.random.default_rng(seed)
-    nodes = f[rng.choice(f.shape[0], size=cfg.som_nodes, replace=False)].copy()
+    nodes = _empty_cache_aligned((cfg.som_nodes, f.shape[1]))
+    nodes[...] = f[rng.choice(f.shape[0], size=cfg.som_nodes, replace=False)]
     lattice = np.arange(cfg.som_nodes)
     d = circular_distance(lattice[:, None], lattice[None, :], cfg.som_nodes)
     qe = np.empty(cfg.som_epochs)
     # per-frame scratch, reused so the inner loop allocates nothing
-    diff = np.empty_like(nodes)
-    work = np.empty_like(nodes)
+    diff = _empty_cache_aligned(nodes.shape)
+    work = _empty_cache_aligned(nodes.shape)
     d2 = np.empty(cfg.som_nodes)
     for epoch in range(cfg.som_epochs):
         if cfg.som_epochs == 1:

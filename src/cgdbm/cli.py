@@ -93,7 +93,8 @@ LOG_COLUMNS = [f.name for f in fields(EpochRecord)]
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, epochs: int | None) -> int:
-    data, _ = load_matrix(_require(out_dir / TRAIN_WHITE, "prepare"))
+    data, _ = load_matrix(_require(out_dir / TRAIN_WHITE, "prepare"),
+                          kind="whitened_train")
     dims = cfg.model.dims
     if data.shape[1] != dims[0]:
         raise ShapeError(f"training data width {data.shape[1]} does not "
@@ -117,7 +118,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path, epochs: int | None) -> int:
 
 def cmd_sample(cfg: RunConfig, out_dir: Path) -> int:
     params, offsets = load_model(_require(out_dir / MODEL, "train"))
-    data, _ = load_matrix(_require(out_dir / TRAIN_WHITE, "prepare"))
+    data, _ = load_matrix(_require(out_dir / TRAIN_WHITE, "prepare"),
+                          kind="whitened_train")
     scfg = cfg.sampling
     seed = stage_seed(cfg.seed, "sample")
     p_init = average_initial_probability(params, offsets, data, cfg.training)
@@ -149,9 +151,11 @@ def _correlation_rows(report, orientations) -> list[list]:
 
 def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     params, offsets = load_model(_require(out_dir / MODEL, "train"))
-    frames, _ = load_matrix(_require(out_dir / FRAMES, "sample"))
+    frames, _ = load_matrix(_require(out_dir / FRAMES, "sample"),
+                            kind="spontaneous")
     whitener, wmeta = load_whitener(_require(out_dir / WHITENER, "prepare"))
-    p_init, _ = load_matrix(_require(out_dir / P_INIT, "sample"))
+    p_init, _ = load_matrix(_require(out_dir / P_INIT, "sample"),
+                            kind="initial_probability")
     L, M, N = params.dims
     if frames.shape[1] != M:
         raise ShapeError(f"frame width {frames.shape[1]} does not match "

@@ -88,11 +88,13 @@ def save_matrix(path, array, meta: dict[str, str] | None = None) -> None:
         fh.write(digest.digest())
 
 
-def load_matrix(path) -> tuple[np.ndarray, dict[str, str]]:
+def load_matrix(path, kind: str | None = None
+                ) -> tuple[np.ndarray, dict[str, str]]:
     """The payload and the header without ``rows`` and ``cols``.  The
     header is parsed before the digest is checked, so a malformed header
     reports what is wrong with it.  The payload is read straight into one
-    new array, so the file is held in memory once."""
+    new array, so the file is held in memory once.  If kind is given, a
+    container whose header names another kind raises FormatError."""
     with open(path, "rb") as fh:
         if fh.read(len(MATRIX_MAGIC)) != MATRIX_MAGIC:
             raise FormatError(f"{path}: bad magic, expected {MATRIX_MAGIC!r}")
@@ -129,6 +131,9 @@ def load_matrix(path) -> tuple[np.ndarray, dict[str, str]]:
     digest.update(payload)
     if digest.digest() != trailer:
         raise FormatError(f"{path}: checksum mismatch")
+    if kind is not None and header.get("kind") != kind:
+        raise FormatError(f"{path}: not a {kind} container "
+                          f"(kind={header.get('kind')})")
     del header["rows"], header["cols"]
     return payload, header
 
@@ -143,9 +148,7 @@ def save_model(path, p: ModelParams, c: Offsets) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, Offsets]:
-    flat, meta = load_matrix(path)
-    if meta.get("kind") != "model":
-        raise FormatError(f"{path}: not a model container")
+    flat, meta = load_matrix(path, kind="model")
     L, M, N = (_header_int(meta, key, path) for key in "LMN")
     if flat.shape != (1, L * M + M * N + 2 * (L + M + N)):
         raise FormatError(f"{path}: model payload does not match L={L} "

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .io import format_float, load_matrix, read_pgm, save_matrix
@@ -42,18 +43,28 @@ def extract_patches(images, side: int, n_patches: int, train_fraction: float,
 
     Each patch picks an image uniformly among those large enough, then a
     uniform top-left corner.  Images smaller than the patch are skipped.
+
+    Draw order on rng: the image indices of all patches as one vector,
+    then one bounded draw per corner coordinate, row then column, patch
+    by patch.  A coordinate with a single possible value (an image side
+    equal to the patch side) draws nothing, and neither do the indices
+    when only one image is usable.
     """
     usable = [np.asarray(img, dtype=np.float64) for img in images
               if img.shape[0] >= side and img.shape[1] >= side]
     if not usable:
         raise DomainError(f"no image is at least {side}x{side}")
-    out = np.empty((n_patches, side * side))
     idx = rng.integers(0, len(usable), size=n_patches)
-    for i in range(n_patches):
-        img = usable[idx[i]]
-        r = rng.integers(0, img.shape[0] - side + 1)
-        c = rng.integers(0, img.shape[1] - side + 1)
-        out[i] = img[r:r + side, c:c + side].ravel()
+    shapes = np.array([img.shape for img in usable])
+    # one broadcast draw makes the same bounded draws, in the same order,
+    # as one scalar rng.integers call per coordinate
+    corners = rng.integers(0, (shapes[idx] - side + 1).ravel()).reshape(-1, 2)
+    out = np.empty((n_patches, side, side))
+    for j, img in enumerate(usable):
+        sel = np.flatnonzero(idx == j)
+        rows, cols = corners[sel].T
+        out[sel] = sliding_window_view(img, (side, side))[rows, cols]
+    out = out.reshape(n_patches, side * side)
     n_train = int(round(train_fraction * n_patches))
     n_train = min(max(n_train, 1), n_patches - 1)
     return out[:n_train], out[n_train:]
@@ -164,9 +175,7 @@ def load_whitener(path) -> tuple[Whitener, dict]:
     """The whitener and its header.  The header's patch_side squares to
     the patch dimension d and its mean_patch_norm is finite and
     positive, so both can be read with int() and float()."""
-    flat, meta = load_matrix(path)
-    if meta.get("kind") != "whitener":
-        raise FormatError(f"{path}: not a whitener container")
+    flat, meta = load_matrix(path, kind="whitener")
     try:
         d, k = int(meta["d"]), int(meta["k"])
     except (KeyError, ValueError):

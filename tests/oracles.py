@@ -10,7 +10,9 @@ bit, so it shares the lattice distance and the quantization error with
 single-threaded batch loop and its helpers, compared bit for bit with
 `train`, which runs the data term on a worker thread and updates its
 arrays in place.  It shares what that change left alone (initialization,
-schedules, mean-field inference and the record types).
+schedules, mean-field inference and the record types).  The patch
+reference is the per-patch loop `extract_patches` replaced, compared bit
+for bit, generator state included.
 """
 
 from __future__ import annotations
@@ -211,6 +213,26 @@ def som_reference(frames: np.ndarray, cfg: AnalysisConfig, seed: int):
             nodes += step[bmu][:, None] * (v - nodes)
         qe[epoch] = quantization_error(nodes, f)
     return nodes, qe
+
+
+def extract_patches_reference(images, side: int, n_patches: int,
+                              train_fraction: float, rng: np.random.Generator):
+    """Patch sampling one patch at a time: the image indices as one
+    draw, then two scalar `rng.integers` calls and one slice copy per
+    patch.  `extract_patches` must return the same splits and leave rng
+    in the same state."""
+    usable = [np.asarray(img, dtype=np.float64) for img in images
+              if img.shape[0] >= side and img.shape[1] >= side]
+    out = np.empty((n_patches, side * side))
+    idx = rng.integers(0, len(usable), size=n_patches)
+    for i in range(n_patches):
+        img = usable[idx[i]]
+        r = rng.integers(0, img.shape[0] - side + 1)
+        c = rng.integers(0, img.shape[1] - side + 1)
+        out[i] = img[r:r + side, c:c + side].ravel()
+    n_train = int(round(train_fraction * n_patches))
+    n_train = min(max(n_train, 1), n_patches - 1)
+    return out[:n_train], out[n_train:]
 
 
 # --- training reference -------------------------------------------------------

@@ -361,6 +361,14 @@ def test_som_deterministic(rng):
     np.testing.assert_array_equal(a.qe_history, b.qe_history)
 
 
+def test_som_nodes_start_on_a_cache_line(rng):
+    # the per-frame loop's speed depends on where its arrays start
+    for width in (9, 64):
+        som = train_som(rng.uniform(size=(60, width)),
+                        AnalysisConfig(som_nodes=8, som_epochs=1), seed=3)
+        assert som.nodes.ctypes.data % 64 == 0
+
+
 def _ring(n, seed):
     angles = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=n)
     ring = np.zeros((n, 12))

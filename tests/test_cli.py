@@ -116,7 +116,11 @@ def test_every_binary_artifact_is_one_container_kind(run_dir):
 
 @pytest.mark.parametrize("source, target, stage", [
     ("whitener.cgmat", "model.cgdbm", "sample"),
-    ("model.cgdbm", "whitener.cgmat", "analyze")])
+    ("model.cgdbm", "whitener.cgmat", "analyze"),
+    ("orientation_maps.cgmat", "frames.cgmat", "analyze"),
+    ("frames.cgmat", "p_init.cgmat", "analyze"),
+    ("test_white.cgmat", "train_white.cgmat", "sample"),
+    ("test_white.cgmat", "train_white.cgmat", "train")])
 def test_wrong_kind_exit_code(run_dir, tmp_path, source, target, stage):
     # a valid container of another kind under an artifact's name
     root, cfg, out = run_dir
@@ -246,7 +250,8 @@ def test_exit_codes(run_dir, tmp_path):
                  "--out-dir", str(empty)]) == 2
     # p_init without its one row, under a valid digest -> shape error
     assert main(["sample", *base]) == 0
-    save_matrix(empty / "p_init.cgmat", np.zeros((0, 12)))
+    save_matrix(empty / "p_init.cgmat", np.zeros((0, 12)),
+                meta={"kind": "initial_probability"})
     assert main(["analyze", *base]) == 2
     # corrupted model file -> format error
     blob = bytearray((empty / "model.cgdbm").read_bytes())

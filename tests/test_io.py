@@ -154,6 +154,10 @@ def test_matrix_round_trip_with_meta(rng, tmp_path):
     np.testing.assert_array_equal(a, b)
     assert meta["kind"] == "frames"
     assert meta["alpha"] == "0.01"
+    np.testing.assert_array_equal(load_matrix(path, kind="frames")[0], a)
+    with pytest.raises(FormatError, match=r"not a spontaneous container "
+                                          r"\(kind=frames\)"):
+        load_matrix(path, kind="spontaneous")
 
 
 def test_matrix_load_holds_the_payload_once(tmp_path):

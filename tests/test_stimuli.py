@@ -1,5 +1,7 @@
 """Whitening and grating stimuli checks against small closed-form cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from cgdbm.stimuli import (Whitener, default_frequencies, extract_patches,
                            fit_whitener, generate_gratings,
                            load_grayscale_images, load_whitener,
                            save_whitener, whiten)
-from cgdbm.synth import dead_leaves_image, make_corpus
+from cgdbm.synth import dead_leaves_image, make_corpus, write_corpus
+from oracles import extract_patches_reference
 
 # the grating grid the analyze stage uses at its default counts
 ORIENTATIONS = np.arange(8) * 22.5
@@ -65,6 +68,52 @@ def test_extract_patches_skips_small_images(rng):
     assert np.all(train == 1.0) and np.all(test == 1.0)
     with pytest.raises(DomainError):
         extract_patches([small], 4, 10, 0.5, rng)
+
+
+@pytest.mark.parametrize("shapes, side", [
+    # mixed sizes, one exactly side x side, one smaller than side
+    ([(20, 30), (6, 6), (5, 40), (64, 17), (7, 6)], 6),
+    ([(20, 30), (12, 12), (40, 13)], 12),
+    # a single usable image: the index draw consumes nothing
+    ([(3, 3), (40, 50)], 4),
+    ([(12, 12)], 12),
+    ([(9, 33), (2, 2), (17, 2)], 2),
+])
+@pytest.mark.parametrize("seed", [0, 1, 1801])
+def test_extract_patches_matches_per_patch_loop(shapes, side, seed):
+    make = np.random.default_rng(99)
+    images = [make.random(shape) for shape in shapes]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = extract_patches(images, side, 301, 0.7, rng)
+    want = extract_patches_reference(images, side, 301, 0.7, ref_rng)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if shapes == [(12, 12)]:
+        # nothing to choose: the generator is untouched
+        assert rng.bit_generator.state == \
+            np.random.default_rng(seed).bit_generator.state
+
+
+def test_extract_patches_golden_digest(tmp_path):
+    # pins the draw order itself, which a rerun of the same code cannot;
+    # no BLAS or LAPACK call lies on this path, so the bytes do not
+    # depend on the machine's linear algebra library
+    write_corpus(tmp_path, 3, 40, seed=18)
+    rng = np.random.default_rng(1818)
+    train, test = extract_patches(load_grayscale_images(tmp_path), 8, 500,
+                                  0.8, rng)
+    assert train.shape == (400, 64) and test.shape == (100, 64)
+    assert hashlib.sha256(train.astype("<f8").tobytes()).hexdigest() == (
+        "404c6437c98b2c2aebc40969e9a89ea7e8f1d04b0b51a0c84e8514ffb764a013")
+    assert hashlib.sha256(test.astype("<f8").tobytes()).hexdigest() == (
+        "cdff57131f5bdd7171722ba3590417e844c18a723dba452bf63dd809fd6eae3e")
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {"state": 142127624463346995511002387006667151926,
+                  "inc": 320333824301146908096857645677539484855},
+        "has_uint32": 0, "uinteger": 1739960180}
 
 
 def test_patch_config_validation():
