@@ -252,10 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "pipeline: whiten patches, train, sample, analyze.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True,
-                            help="run configuration file")
+    def common(sp):
+        sp.add_argument("--config", required=True,
+                        help="run configuration file")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config's global seed")
         sp.add_argument("--out-dir", default=".",

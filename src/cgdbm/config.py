@@ -1,27 +1,31 @@
-"""Run configuration: a flat sectioned key=value text format.
+"""Run configuration: an INI file, read by the stdlib's configparser.
 
-Grammar, line by line:
-
-    # full-line comment (also allowed after a value, preceded by space)
-    seed = 7                 global keys appear before any section
+    # full-line comment, or inline after whitespace
+    seed = 7                 the global seed, above the first section
     [data]                   section header
     image_dir = corpus       string value
     patch_side = 12          int value
     train_fraction = 0.9     float value, finite
 
-The file is UTF-8.  Sections are data, model, training, sampling, and
-analysis; every key maps to a field of the matching config dataclass.
-Unknown sections or keys are errors, as is a repeated key.  Values never
-span lines.  No section has a seed: the CLI derives each stage's seed
-from the single global seed with `stage_seed` and passes it to the
-stage, so one number pins the whole pipeline.
+The file is UTF-8.  Only `=` separates a key from its value, keys keep
+their case, and there is no interpolation and no DEFAULT section.  The
+sections are RunConfig's fields (data, model, training, sampling,
+analysis); their keys, with types, are the fields of each section's
+dataclass.  An unknown or repeated section or key is an error, as is
+text after a header.  A line indented deeper than the key above it
+continues that key's value.  No section has a seed: the CLI derives each
+stage's seed from the global seed with `stage_seed`, so one number pins
+the whole pipeline.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -115,23 +119,12 @@ class RunConfig:
         return self
 
 
-_SECTION_TYPES = {
-    "data": DataConfig,
-    "model": ModelConfig,
-    "training": TrainConfig,
-    "sampling": SessionConfig,
-    "analysis": AnalysisConfig,
-}
-
-
-def _strip_comment(line: str) -> str:
-    if line.lstrip().startswith("#"):
-        return ""
-    # inline comments need whitespace before the hash
-    for i in range(1, len(line)):
-        if line[i] == "#" and line[i - 1] in " \t":
-            return line[:i]
-    return line
+# lone surrogates, so no UTF-8 file can name them: the keys above the
+# first header go to _GLOBAL, and _NO_DEFAULT replaces the DEFAULT
+# section, whose keys every section would inherit, and stays empty
+_GLOBAL, _NO_DEFAULT = "\udc80", "\udc81"
+# anchored, so that text after a header's bracket is an error
+_SECTION_HEADER = re.compile(r"\[(?P<header>.+)\]$")
 
 
 def _convert(raw: str, target_type, where: str):
@@ -147,50 +140,46 @@ def _convert(raw: str, target_type, where: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    section = None
-    global_seed = None
-    values: dict[str, dict] = {name: {} for name in _SECTION_TYPES}
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(rawline).strip()
-        if not line:
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#",),
+        inline_comment_prefixes=("#",), interpolation=None,
+        default_section=_NO_DEFAULT)
+    parser.optionxform = str  # keys keep their case: L, M, N
+    parser.SECTCRE = _SECTION_HEADER
+    # configparser counts the sentinel header as line 1
+    try:
+        parser.read_string(f"[{_GLOBAL}]\n{text}")
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"line {exc.lineno - 1}: duplicate section "
+                          f"[{exc.section}]") from None
+    except configparser.DuplicateOptionError as exc:
+        what = (f"global {exc.option}" if exc.section == _GLOBAL
+                else f"key {exc.option!r} in section [{exc.section}]")
+        raise ConfigError(f"line {exc.lineno - 1}: duplicate {what}") from None
+    except configparser.ParsingError as exc:
+        raise ConfigError(f"line {exc.errors[0][0] - 1}: expected "
+                          f"key = value") from None
+    values = {}
+    for key, raw in parser[_GLOBAL].items():
+        if key != "seed":
+            raise ConfigError(f"only 'seed' may appear before the first "
+                              f"section, got {key!r}")
+        values["seed"] = _convert(raw, int, "seed")
+    sections = get_type_hints(RunConfig)
+    for name in parser.sections():
+        if name == _GLOBAL:
             continue
-        where = f"line {lineno}"
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SECTION_TYPES:
-                raise ConfigError(f"{where}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected key = value")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if section is None:
-            if key != "seed":
-                raise ConfigError(f"{where}: only 'seed' may appear before "
-                                  f"the first section, got {key!r}")
-            if global_seed is not None:
-                raise ConfigError(f"{where}: duplicate global seed")
-            global_seed = _convert(raw, int, where)
-            continue
-        cls = _SECTION_TYPES[section]
-        known = {f.name: f.type for f in fields(cls)}
-        if key not in known:
-            raise ConfigError(f"{where}: unknown key {key!r} in "
-                              f"section [{section}]")
-        if key in values[section]:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        ftype = {"int": int, "float": float, "str": str}[known[key]] \
-            if isinstance(known[key], str) else known[key]
-        values[section][key] = _convert(raw, ftype, where)
-    return RunConfig(
-        seed=0 if global_seed is None else global_seed,
-        data=DataConfig(**values["data"]),
-        model=ModelConfig(**values["model"]),
-        training=TrainConfig(**values["training"]),
-        sampling=SessionConfig(**values["sampling"]),
-        analysis=AnalysisConfig(**values["analysis"]),
-    ).validate()
+        cls = sections.get(name)
+        if not is_dataclass(cls):
+            raise ConfigError(f"unknown section [{name}]")
+        types = get_type_hints(cls)
+        kwargs = {}
+        for key, raw in parser[name].items():
+            if key not in types:
+                raise ConfigError(f"unknown key {key!r} in section [{name}]")
+            kwargs[key] = _convert(raw, types[key], f"[{name}] {key}")
+        values[name] = cls(**kwargs)
+    return RunConfig(**values).validate()
 
 
 def load_config(path) -> RunConfig:

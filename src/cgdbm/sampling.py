@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .model import ModelParams, Offsets, check_dims, cond_hidden1
 from .training import (GibbsNoise, PersistentChains, TrainConfig,
-                       gibbs_model_step, mean_field_data)
+                       check_unit_interval, gibbs_model_step, mean_field_data)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def run_spontaneous_session(p: ModelParams, c: Offsets, p_init,
     p_init = np.asarray(p_init, dtype=np.float64)
     if p_init.shape != (M,):
         raise ShapeError(f"p_init has shape {p_init.shape}, expected ({M},)")
-    if p_init.min() < 0.0 or p_init.max() > 1.0:
-        raise ValueError("p_init entries must lie in [0, 1]")
+    check_unit_interval(p_init, "p_init entries")
     rng = np.random.default_rng(seed)
     y0 = (rng.random((cfg.n_chains, M)) < p_init).astype(np.float64)
     chains = PersistentChains(
@@ -114,6 +113,7 @@ def random_control_frames(p_init, count: int,
     p_init = np.asarray(p_init, dtype=np.float64)
     if p_init.ndim != 1:
         raise ShapeError("p_init must be a vector")
+    check_unit_interval(p_init, "p_init entries")
     if count < 1:
         raise ConfigError("count must be positive")
     return (rng.random((count, p_init.shape[0])) < p_init).astype(np.float64)

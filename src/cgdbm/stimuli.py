@@ -157,7 +157,9 @@ def mean_centered_norm(patches) -> float:
     """Mean Euclidean norm of the rows after subtracting the mean row."""
     x = np.atleast_2d(np.asarray(patches, dtype=np.float64))
     xc = x - x.mean(axis=0)
-    return float(np.mean(np.linalg.norm(xc, axis=1)))
+    # np.linalg.norm's own row sum, without its two row-sized temporaries
+    np.multiply(xc, xc, out=xc)
+    return float(np.mean(np.sqrt(np.add.reduce(xc, axis=1))))
 
 
 def save_whitener(path, w: Whitener, patch_side: int,

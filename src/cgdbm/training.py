@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .model import (
     SIGMA2_FLOOR,
     ModelParams,
@@ -359,6 +359,13 @@ def apply_updates(p: ModelParams, velocity: GradientStats,
             raise NumericError(f"non-finite values in {name} after update")
 
 
+def check_unit_interval(x: np.ndarray, what: str) -> None:
+    """Raise DomainError unless every entry of x lies in [0, 1]."""
+    # NaN fails both comparisons
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
+        raise DomainError(f"{what} must lie in [0, 1]")
+
+
 def update_offsets(c: Offsets, batch_mean_y, batch_mean_z, batch_mean_x,
                    p: ModelParams, nu: float,
                    out: Offsets | None = None) -> tuple[Offsets, np.ndarray, np.ndarray]:
@@ -378,9 +385,8 @@ def update_offsets(c: Offsets, batch_mean_y, batch_mean_z, batch_mean_x,
     mx = np.asarray(batch_mean_x, dtype=np.float64)
     if my.shape != (M,) or mz.shape != (N,) or mx.shape != (L,):
         raise ShapeError("batch mean shapes do not match the model dims")
-    if my.min(initial=0.0) < 0.0 or my.max(initial=0.0) > 1.0 \
-            or mz.min(initial=0.0) < 0.0 or mz.max(initial=0.0) > 1.0:
-        raise ValueError("hidden batch means must lie in [0, 1]")
+    check_unit_interval(my, "hidden batch means")
+    check_unit_interval(mz, "hidden batch means")
     d_y = nu * (my - c.c_y)
     d_z = nu * (mz - c.c_z)
     d_x = nu * (mx - c.c_x)

@@ -303,6 +303,21 @@ def test_whitener_without_mean_patch_norm_exit_code(run_dir, tmp_path):
     assert main(["analyze", "--config", str(cfg), "--out-dir", str(run)]) == 4
 
 
+@pytest.mark.parametrize("value", [np.nan, 1.7])
+def test_p_init_outside_unit_interval_exit_code(run_dir, tmp_path, value):
+    # control frames drawn at such rates would be all zeros or all ones
+    root, cfg, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "summary.txt").unlink()
+    p_init, meta = load_matrix(run / "p_init.cgmat")
+    save_matrix(run / "p_init.cgmat", np.full_like(p_init, value), meta=meta)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert main(["analyze", "--config", str(cfg), "--out-dir", str(run)]) == 3
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert "summary.txt" not in before
+
+
 def test_analyze_function_reproduces_summary(run_dir, tmp_path,
                                              monkeypatch):
     # the analysis is a pure function of the loaded artifacts: it alone

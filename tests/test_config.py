@@ -5,8 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgdbm.config import load_config, parse_config, stage_seed
+from cgdbm.analysis import AnalysisConfig
+from cgdbm.config import (DataConfig, ModelConfig, RunConfig, load_config,
+                          parse_config, stage_seed)
 from cgdbm.errors import ConfigError
+from cgdbm.sampling import SessionConfig
+from cgdbm.training import TrainConfig
+from tiny import TINY_CFG
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,6 +112,24 @@ def test_defaults_when_sections_missing():
      "patch_side too small for the default frequencies"),
     ("[sampling]\nn_chains = 5\nn_iterations = 40\n[analysis]\n"
      "som_nodes = 40\n", "records 20 frames, fewer than som_nodes=40"),
+    # the grammar's edges, each with its whole message
+    ("[model]\nL = 100\n[model]\nM = 8\n",
+     "line 3: duplicate section [model]"),
+    ("[model] junk\n", "line 1: expected key = value"),
+    # a deeper indent continues the key above it
+    ("[model]\nL = 100\n  M = 8\n",
+     "[model] L: cannot parse '100\\nM = 8' as int"),
+    ("# a comment\n\nseed = 1\nseed = 2\n", "line 4: duplicate global seed"),
+    ("[model]\n# a comment\nL = 1\nL = 2\n",
+     "line 4: duplicate key 'L' in section [model]"),
+    ("[model]\nL: 100\n", "line 2: expected key = value"),
+    ("[model]\nl = 100\n", "unknown key 'l' in section [model]"),
+    ("[ model ]\n", "unknown section [ model ]"),
+    ("[DEFAULT]\nseed = 1\n", "unknown section [DEFAULT]"),
+    ("[seed]\n", "unknown section [seed]"),
+    ("seed = 1 ; two\n", "seed: cannot parse '1 ; two' as int"),
+    ("[data]\npatch_side = 6.0\n",
+     "[data] patch_side: cannot parse '6.0' as int"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -142,3 +165,83 @@ def test_load_config_round_trip(tmp_path):
 def test_shipped_configs_parse_and_validate(name, dims):
     # load_config validates every section
     assert load_config(CONFIGS / name).model.dims == dims
+
+
+DESK = RunConfig(
+    seed=0,
+    data=DataConfig(image_dir="corpus", patch_side=12, n_patches=20000,
+                    train_fraction=0.9, pca_k=100),
+    model=ModelConfig(L=100, M=64, N=16),
+    training=TrainConfig(
+        learning_rate_start=0.03, learning_rate_end=0.001,
+        momentum_start=0.9, momentum_end=0.0, sigma_lr_factor=0.1,
+        batch_size=100, offset_rate=0.001, epochs_max=600,
+        mean_field_max_iters=30, mean_field_tol=0.0001,
+        gibbs_steps_per_batch=5, val_fraction=0.1, patience=60,
+        sigma_step_clip=0.05),
+    sampling=SessionConfig(n_chains=100, n_iterations=2000, record_every=10),
+    analysis=AnalysisConfig(
+        alpha=0.01, threshold_n=64, som_nodes=40, som_epochs=20,
+        som_lr_start=0.5, som_lr_end=0.01, som_radius_start=10.0,
+        som_radius_end=1.0, orientation_count=8, grating_frequency_count=6,
+        grating_phase_count=4))
+
+FULL = RunConfig(
+    seed=0,
+    data=DataConfig(image_dir="corpus_full", patch_side=32, n_patches=60000,
+                    train_fraction=0.8333333333333334, pca_k=256),
+    model=ModelConfig(L=256, M=900, N=100),
+    training=TrainConfig(
+        learning_rate_start=0.03, learning_rate_end=0.001,
+        momentum_start=0.9, momentum_end=0.0, sigma_lr_factor=0.1,
+        batch_size=100, offset_rate=0.001, epochs_max=100,
+        mean_field_max_iters=30, mean_field_tol=0.0001,
+        gibbs_steps_per_batch=5, val_fraction=0.1, patience=10,
+        sigma_step_clip=0.05),
+    sampling=SessionConfig(n_chains=100, n_iterations=2000, record_every=10),
+    analysis=AnalysisConfig(
+        alpha=0.01, threshold_n=200, som_nodes=40, som_epochs=20,
+        som_lr_start=0.5, som_lr_end=0.01, som_radius_start=10.0,
+        som_radius_end=1.0, orientation_count=8, grating_frequency_count=6,
+        grating_phase_count=4))
+
+TINY = RunConfig(
+    seed=11,
+    data=DataConfig(image_dir="tiny_corpus", patch_side=6, n_patches=800,
+                    train_fraction=0.9, pca_k=20),
+    model=ModelConfig(L=20, M=12, N=4),
+    training=TrainConfig(
+        learning_rate_start=0.03, learning_rate_end=0.001,
+        momentum_start=0.9, momentum_end=0.0, sigma_lr_factor=0.1,
+        batch_size=60, offset_rate=0.001, epochs_max=2,
+        mean_field_max_iters=30, mean_field_tol=0.0001,
+        gibbs_steps_per_batch=5, val_fraction=0.1, patience=5,
+        sigma_step_clip=0.05),
+    sampling=SessionConfig(n_chains=5, n_iterations=40, record_every=10),
+    analysis=AnalysisConfig(
+        alpha=0.05, threshold_n=12, som_nodes=8, som_epochs=3,
+        som_lr_start=0.5, som_lr_end=0.01, som_radius_start=2.0,
+        som_radius_end=1.0, orientation_count=8, grating_frequency_count=6,
+        grating_phase_count=4))
+
+
+@pytest.mark.parametrize("text, want", [
+    ((CONFIGS / "desk.cfg").read_text(encoding="utf-8"), DESK),
+    ((CONFIGS / "full.cfg").read_text(encoding="utf-8"), FULL),
+    (TINY_CFG.format(corpus="tiny_corpus"), TINY),
+], ids=["desk.cfg", "full.cfg", "TINY_CFG"])
+def test_run_configs_parse_to_every_field(text, want):
+    assert parse_config(text) == want
+
+
+@pytest.mark.parametrize("text, want", [
+    # keys indented alike are keys, not continuations
+    ("[model]\n    L = 100\n    M = 8\n", RunConfig(model=ModelConfig(M=8))),
+    # a comment after a header, and an indented full-line comment
+    ("[model]  # the layer widths\n  # eight units\nM = 8\n",
+     RunConfig(model=ModelConfig(M=8))),
+    # a hash with no whitespace before it is part of the value
+    ("[data]\nimage_dir = a#b\n", RunConfig(data=DataConfig(image_dir="a#b"))),
+])
+def test_grammar_accepts(text, want):
+    assert parse_config(text) == want

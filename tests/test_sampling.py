@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cgdbm.sampling
-from cgdbm.errors import ConfigError, ShapeError
+from cgdbm.errors import ConfigError, DomainError, ShapeError
 from cgdbm.exact import all_binary_states, brute_force_hidden_marginal
 from cgdbm.model import ModelParams, Offsets
 from cgdbm.sampling import (
@@ -102,6 +102,14 @@ class TestSpontaneousSession:
             run_spontaneous_session(p, c, np.array([0.5, 0.5, 1.5]), cfg,
                                     seed=0)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_p_init_outside_unit_interval_is_domain_error(self, rng, bad):
+        p, c = random_model(rng, 2, 3, 2)
+        cfg = SessionConfig(n_chains=2, n_iterations=10, record_every=5)
+        with pytest.raises(DomainError, match=r"p_init entries must lie in"):
+            run_spontaneous_session(p, c, np.array([0.5, bad, 0.5]), cfg,
+                                    seed=0)
+
 
 class TestControls:
     def test_rates_and_binarity(self, rng):
@@ -115,6 +123,11 @@ class TestControls:
     def test_count_validated(self, rng):
         with pytest.raises(ConfigError):
             random_control_frames(np.array([0.5]), 0, rng)
+
+    @pytest.mark.parametrize("bad", [1.7, -0.5, np.nan])
+    def test_p_init_outside_unit_interval_is_domain_error(self, rng, bad):
+        with pytest.raises(DomainError, match=r"p_init entries must lie in"):
+            random_control_frames(np.array([0.2, bad]), 10, rng)
 
 
 class TestInitialProbability:

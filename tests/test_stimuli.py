@@ -12,7 +12,7 @@ from cgdbm.io import load_matrix, save_matrix, write_pgm
 from cgdbm.stimuli import (Whitener, default_frequencies, extract_patches,
                            fit_whitener, generate_gratings,
                            load_grayscale_images, load_whitener,
-                           save_whitener, whiten)
+                           mean_centered_norm, save_whitener, whiten)
 from cgdbm.synth import dead_leaves_image, make_corpus, write_corpus
 from oracles import extract_patches_reference
 
@@ -241,6 +241,16 @@ def test_group_by_orientation():
     for k, theta in enumerate(ORIENTATIONS):
         alone = generate_gratings(8, [theta], default_frequencies(8), PHASES)
         np.testing.assert_array_equal(g[k], alone[0])
+
+
+@pytest.mark.parametrize("rows, cols", [(7, 5), (2500, 1024), (18000, 144)])
+def test_mean_centered_norm_equals_linalg_norm(rows, cols):
+    x = np.random.default_rng(rows).normal(size=(rows, cols))
+    before = x.copy()
+    expected = float(np.mean(np.linalg.norm(x - x.mean(axis=0), axis=1)))
+    assert mean_centered_norm(x) == expected
+    # squaring in place touches only the centred copy
+    np.testing.assert_array_equal(x, before)
 
 
 # --- whitener files ---------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cgdbm.training
-from cgdbm.errors import ConfigError, NumericError, ShapeError
+from cgdbm.errors import ConfigError, DomainError, NumericError, ShapeError
 from cgdbm.exact import brute_force_hidden_marginal, log_likelihood
 from cgdbm.model import ModelParams, Offsets, cond_hidden1, cond_visible, sigmoid
 from cgdbm.training import (
@@ -293,6 +293,16 @@ class TestUpdateOffsets:
             p2 = replace(p, b_y=p.b_y + db_y, b_z=p.b_z + db_z)
             after = brute_force_hidden_marginal(p2, c2)
             assert np.abs(after - before).max() <= 1e-10
+
+    @pytest.mark.parametrize("layer", ["y", "z"])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
+    def test_hidden_means_outside_unit_interval_rejected(self, rng, layer,
+                                                         bad):
+        p, c = random_model(rng, 2, 3, 2)
+        my, mz = np.full(3, 0.5), np.full(2, 0.5)
+        (my if layer == "y" else mz)[1] = bad
+        with pytest.raises(DomainError, match="hidden batch means"):
+            update_offsets(c, my, mz, np.zeros(2), p, nu=0.1)
 
 
 class TestBatchGradientStats:
