@@ -29,7 +29,7 @@ from .io import (format_float, load_matrix, load_model, open_atomic,
                  save_matrix, save_model, write_csv)
 from .sampling import average_initial_probability, run_spontaneous_session
 from .stimuli import (extract_patches, fit_whitener, load_grayscale_images,
-                      load_whitener, mean_centered_norm, save_whitener, whiten)
+                      load_whitener, mean_norm_in_place, save_whitener, whiten)
 from .training import EpochRecord, train
 from .viz import save_montage_pgm
 
@@ -68,10 +68,14 @@ def cmd_prepare(cfg: RunConfig, out_dir: Path) -> int:
     train_px, test_px = extract_patches(images, cfg.data.patch_side,
                                         cfg.data.n_patches,
                                         cfg.data.train_fraction, rng)
-    w = fit_whitener(train_px, cfg.data.pca_k)
-    train_white = whiten(w, train_px)
+    # the patches are held once: every step below starts from the
+    # training rows centered in place
+    mean = train_px.mean(axis=0)
+    train_px -= mean
+    w = fit_whitener(train_px, mean, cfg.data.pca_k)
+    train_white = train_px @ w.projection
     test_white = whiten(w, test_px)
-    norm = mean_centered_norm(train_px)
+    norm = mean_norm_in_place(train_px)
     common = {"patch_side": str(cfg.data.patch_side),
               "pca_k": str(cfg.data.pca_k)}
     save_matrix(out_dir / TRAIN_WHITE, train_white,

@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import AnalysisConfig
 from .errors import ConfigError
 from .sampling import SessionConfig
-from .stimuli import default_frequencies
+from .stimuli import default_frequencies, n_train_rows
 from .training import TrainConfig
 
 # fixed stage tags keep per-stage randomness independent of one another
@@ -67,6 +67,12 @@ class DataConfig:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.pca_k < 1 or self.pca_k > self.patch_side**2:
             raise ConfigError("pca_k must lie in [1, patch_side^2]")
+        # the centered covariance of n rows has rank at most n - 1
+        n_train = n_train_rows(self.n_patches, self.train_fraction)
+        if n_train - 1 < self.pca_k:
+            raise ConfigError(f"{n_train} training patches support at most "
+                              f"{n_train - 1} components, fewer than "
+                              f"pca_k={self.pca_k}")
         return self
 
 

@@ -2,10 +2,12 @@
 
 The pipeline trains on whitened patch vectors: random square patches are
 cut from grayscale images, reduced to the top principal components, and
-variance-normalized there.  Gratings are generated in pixel space at
-unit amplitude; the analysis scales them to the natural patches and
-pushes them through the same whitening transform before they reach the
-model.
+variance-normalized there.  The patches are held once: the caller
+centers the training rows in place, and the whitener is fitted, the
+training rows whitened and their mean norm taken from that one buffer.
+Gratings are generated in pixel space at unit amplitude; the analysis
+scales them to the natural patches and pushes them through the same
+whitening transform before they reach the model.
 """
 
 from __future__ import annotations
@@ -65,9 +67,15 @@ def extract_patches(images, side: int, n_patches: int, train_fraction: float,
         rows, cols = corners[sel].T
         out[sel] = sliding_window_view(img, (side, side))[rows, cols]
     out = out.reshape(n_patches, side * side)
-    n_train = int(round(train_fraction * n_patches))
-    n_train = min(max(n_train, 1), n_patches - 1)
+    n_train = n_train_rows(n_patches, train_fraction)
     return out[:n_train], out[n_train:]
+
+
+def n_train_rows(n_patches: int, train_fraction: float) -> int:
+    """How many of n_patches rows extract_patches gives to training:
+    train_fraction of them, rounded, leaving at least one on each side."""
+    n_train = int(round(train_fraction * n_patches))
+    return min(max(n_train, 1), n_patches - 1)
 
 
 @dataclass(frozen=True)
@@ -86,21 +94,26 @@ class Whitener:
     def k(self) -> int:
         return self.eigvals.shape[0]
 
+    @property
+    def projection(self) -> np.ndarray:
+        """(D, k) map from centered rows to whitened rows."""
+        return self.basis / np.sqrt(self.eigvals)
 
-def fit_whitener(train_rows, k: int) -> Whitener:
-    """Fit mean and top-k eigenvectors of the sample covariance
-    (normalized by n-1).  Eigenvalues are floored at 1e-8 times the
+
+def fit_whitener(centered, mean, k: int) -> Whitener:
+    """Fit the top-k eigenvectors of the sample covariance (normalized by
+    n-1) of training rows already centered on `mean`, their column mean.
+    The rows are only read, so a caller can whiten them afterwards as
+    `centered @ w.projection`.  Eigenvalues are floored at 1e-8 times the
     largest before any inversion; if fewer than k components survive the
     floor the data does not support the requested dimension."""
-    x = np.atleast_2d(np.asarray(train_rows, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(centered, dtype=np.float64))
     n, d = x.shape
     if n < 2:
         raise DomainError("need at least two rows to fit a whitener")
     if not (1 <= k <= d):
         raise DomainError(f"k={k} must lie in [1, {d}]")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / (n - 1)
+    cov = x.T @ x / (n - 1)
     vals, vecs = np.linalg.eigh(cov)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
@@ -109,14 +122,23 @@ def fit_whitener(train_rows, k: int) -> Whitener:
     if rank < k:
         raise DomainError(f"requested k={k} components but the data supports "
                           f"only rank {rank}")
-    return Whitener(mean=mean, eigvals=np.maximum(vals[:k], floor).copy(),
+    return Whitener(mean=np.asarray(mean, dtype=np.float64),
+                    eigvals=np.maximum(vals[:k], floor).copy(),
                     basis=np.ascontiguousarray(vecs[:, :k]))
 
 
 def whiten(w: Whitener, rows) -> np.ndarray:
     """Project rows onto the retained components and normalize variance."""
     x = np.asarray(rows, dtype=np.float64)
-    return (x - w.mean) @ (w.basis / np.sqrt(w.eigvals))
+    return (x - w.mean) @ w.projection
+
+
+def mean_norm_in_place(centered: np.ndarray) -> float:
+    """Mean Euclidean norm of the rows of a float64 array, which it
+    squares in place, so it is the array's last use: np.linalg.norm's
+    own row sum, without its two row-sized temporaries."""
+    np.multiply(centered, centered, out=centered)
+    return float(np.mean(np.sqrt(np.add.reduce(centered, axis=1))))
 
 
 # --- gratings ---------------------------------------------------------------
@@ -151,15 +173,6 @@ def generate_gratings(patch_side: int, orientations_deg, frequencies,
                 patches.append(g.ravel())
     return np.array(patches).reshape(len(orientations_deg), -1,
                                      patch_side * patch_side)
-
-
-def mean_centered_norm(patches) -> float:
-    """Mean Euclidean norm of the rows after subtracting the mean row."""
-    x = np.atleast_2d(np.asarray(patches, dtype=np.float64))
-    xc = x - x.mean(axis=0)
-    # np.linalg.norm's own row sum, without its two row-sized temporaries
-    np.multiply(xc, xc, out=xc)
-    return float(np.mean(np.sqrt(np.add.reduce(xc, axis=1))))
 
 
 def save_whitener(path, w: Whitener, patch_side: int,

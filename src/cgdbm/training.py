@@ -450,12 +450,14 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
 
     perm = rng.permutation(n)
     n_val = int(round(cfg.val_fraction * n))
+    # each batch is gathered from data through tr_rows: no copy of the
+    # training split
     if 0 < n_val < n:
         val = data[perm[:n_val]]
-        tr = data[perm[n_val:]]
+        tr_rows = perm[n_val:]
     else:
         val = data
-        tr = data
+        tr_rows = np.arange(n)
 
     p, c = initialize(dims, data.mean(axis=0), rng)
     n_chains = cfg.batch_size
@@ -475,14 +477,14 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
     steps = cfg.gibbs_steps_per_batch
     noise = GibbsNoise.empty(steps, n_chains, dims)
     spare = GibbsNoise.empty(steps, n_chains, dims)
-    n_batches = -(-tr.shape[0] // cfg.batch_size)
+    n_batches = -(-tr_rows.shape[0] // cfg.batch_size)
     # imported here: it costs the other stages' processes 0.6 MB
     from concurrent.futures import ThreadPoolExecutor
     for epoch in range(cfg.epochs_max):
         p, c, chains, rng = state.params, state.offsets, state.chains, state.rng
         lr, momentum = anneal(cfg, epoch)
         chains.y[...] = c.c_y
-        order = rng.permutation(tr.shape[0])
+        order = tr_rows[rng.permutation(tr_rows.shape[0])]
         noise.fill(rng)
         gw_norms = []
         gu_norms = []
@@ -490,7 +492,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
             with ThreadPoolExecutor(max_workers=1) as worker:
                 for k in range(n_batches):
                     start = k * cfg.batch_size
-                    batch = tr[order[start:start + cfg.batch_size]]
+                    batch = data[order[start:start + cfg.batch_size]]
                     # While the next block is drawn, only the worker
                     # touches rng and spare.
                     drawn = (worker.submit(spare.fill, rng)

@@ -12,7 +12,9 @@ single-threaded batch loop and its helpers, compared bit for bit with
 arrays in place.  It shares what that change left alone (initialization,
 schedules, mean-field inference and the record types).  The patch
 reference is the per-patch loop `extract_patches` replaced, compared bit
-for bit, generator state included.
+for bit, generator state included.  The whitening reference is the
+composition `prepare` ran before it centered the training rows once, in
+place, compared bit for bit with the artifacts `prepare` writes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from cgdbm.analysis import (AnalysisConfig, circular_distance,
                             quantization_error)
 from cgdbm.errors import NumericError, ShapeError
 from cgdbm.model import SIGMA2_FLOOR, ModelParams, Offsets, check_dims, energy, sigmoid
+from cgdbm.stimuli import Whitener, fit_whitener
 from cgdbm.training import (EpochRecord, GradientStats, PersistentChains,
                             TrainConfig, TrainState, anneal, initialize,
                             mean_field_data)
@@ -233,6 +236,38 @@ def extract_patches_reference(images, side: int, n_patches: int,
     n_train = int(round(train_fraction * n_patches))
     n_train = min(max(n_train, 1), n_patches - 1)
     return out[:n_train], out[n_train:]
+
+
+# --- whitening reference ------------------------------------------------------
+
+def fit_centered(rows, k: int) -> Whitener:
+    """fit_whitener on a centered copy of rows, which stay as they are."""
+    x = np.array(rows, dtype=np.float64)
+    mean = x.mean(axis=0)
+    x -= mean
+    return fit_whitener(x, mean, k)
+
+
+def prepare_reference(train_px, test_px, k: int):
+    """Whitening as `prepare` composed it with three centered copies of
+    the training rows: one to fit the whitener, one to whiten them and
+    one for their mean norm.  Returns the whitener's (mean, eigvals,
+    basis), the whitened training and test rows and the mean norm."""
+    x = np.asarray(train_px, dtype=np.float64)
+    mean = x.mean(axis=0)
+    xc = x - mean
+    vals, vecs = np.linalg.eigh(xc.T @ xc / (x.shape[0] - 1))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    floor = 1e-8 * max(vals[0], 0.0)
+    eigvals = np.maximum(vals[:k], floor).copy()
+    basis = np.ascontiguousarray(vecs[:, :k])
+    projection = basis / np.sqrt(eigvals)
+    train_white = (x - mean) @ projection
+    test_white = (np.asarray(test_px, dtype=np.float64) - mean) @ projection
+    xc = x - x.mean(axis=0)
+    np.multiply(xc, xc, out=xc)
+    norm = float(np.mean(np.sqrt(np.add.reduce(xc, axis=1))))
+    return (mean, eigvals, basis), train_white, test_white, norm
 
 
 # --- training reference -------------------------------------------------------

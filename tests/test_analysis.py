@@ -18,10 +18,10 @@ from cgdbm.analysis import (AnalysisConfig, OrientationMapSet,
                             top_active_filters, train_som)
 from cgdbm.errors import DomainError, ShapeError
 from cgdbm.model import ModelParams, Offsets
-from cgdbm.stimuli import Whitener, fit_whitener, generate_gratings
+from cgdbm.stimuli import Whitener, generate_gratings
 from cgdbm.training import TrainConfig
 
-from oracles import random_model, som_reference
+from oracles import fit_centered, random_model, som_reference
 
 
 def make_maps(rng, k=8, width=200):
@@ -276,7 +276,7 @@ def test_orientation_maps_tuned_unit_peaks_at_matching_angle(rng):
     groups = generate_gratings(side, orientations, [2.0], [0.0])
     target = groups[2, 0]  # orientation index 2 (45 degrees)
     x = rng.normal(size=(500, side * side))
-    w = fit_whitener(x, side * side)
+    w = fit_centered(x, side * side)
     filt = (np.asarray(w.basis) / np.sqrt(w.eigvals)).T @ target  # whiten direction
     W = 3.0 * (filt / np.linalg.norm(filt))[:, None]
     p = ModelParams(W=W, U=np.zeros((1, 1)), b_y=np.zeros(1),
@@ -462,7 +462,7 @@ def test_second_layer_rf_one_hot_and_linearity(rng):
     L, M, N = 6, 5, 3
     p, c = random_model(rng, L, M, N)
     x = rng.normal(size=(300, 9))
-    w = fit_whitener(x, L)
+    w = fit_centered(x, L)
     U = np.zeros((M, N))
     U[2, 1] = -1.5
     p1 = ModelParams(W=p.W, U=U, b_y=p.b_y, b_z=p.b_z, sigma2=p.sigma2)
@@ -481,7 +481,7 @@ def test_second_layer_rf_matches_bruteforce(rng):
     L, M, N = 8, 10, 4
     p, c = random_model(rng, L, M, N)
     x = rng.normal(size=(300, 16))
-    w = fit_whitener(x, L)
+    w = fit_centered(x, L)
     back = dewhitening_matrix(w)
     img, idx = second_layer_rf(p, back, 2, top=6)
     assert len(idx) == 6
@@ -499,7 +499,7 @@ def test_second_layer_rf_matches_bruteforce(rng):
 def test_first_layer_filters_shape(rng):
     p, c = random_model(rng, 4, 6, 2)
     x = rng.normal(size=(200, 9))
-    w = fit_whitener(x, 4)
+    w = fit_centered(x, 4)
     back = dewhitening_matrix(w)
     filters = first_layer_filters(p, back)
     assert filters.shape == (6, 9)
@@ -540,7 +540,7 @@ def test_analyze_ratio_is_nan_when_no_frame_is_significant(rng):
     # (constant) controls: 0/0 is no evidence, not an infinite ratio
     side, L, M, N = 4, 6, 5, 2
     p, c = random_model(rng, L, M, N)
-    w = fit_whitener(rng.normal(size=(300, side * side)), L)
+    w = fit_centered(rng.normal(size=(300, side * side)), L)
     res = analyze(p, c, w, side, 1.0, np.full((10, M), 0.3), np.zeros(M),
                   AnalysisConfig(som_nodes=4, som_epochs=2), TrainConfig(),
                   som_seed=1, control_seed=2)

@@ -3,6 +3,7 @@
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from cgdbm.cli import main
 from cgdbm.config import load_config, stage_seed
 from cgdbm.io import load_matrix, load_model, save_matrix, save_model
 from cgdbm.sampling import average_initial_probability, run_spontaneous_session
-from cgdbm.stimuli import load_whitener
+from cgdbm.stimuli import (extract_patches, load_grayscale_images,
+                           load_whitener)
 from cgdbm.synth import write_corpus
 from cgdbm.training import train
+from oracles import prepare_reference
 from tiny import TINY_CFG
 
 
@@ -46,6 +49,57 @@ def test_prepare_outputs(run_dir):
     # whitened training data has identity covariance
     cov = np.cov(train, rowvar=False, ddof=1)
     np.testing.assert_allclose(cov, np.eye(20), atol=1e-6)
+
+
+def test_prepare_matches_three_copy_composition(run_dir):
+    # prepare centers the training rows once, in place; the composition
+    # that centered three copies of them is the reference, bit for bit.
+    # It is recomputed here, not pinned by a digest: eigh's bits depend
+    # on the LAPACK kernels the CPU selects
+    root, cfg_path, out = run_dir
+    cfg = load_config(cfg_path)
+    rng = np.random.default_rng(stage_seed(cfg.seed, "prepare"))
+    train_px, test_px = extract_patches(
+        load_grayscale_images(root / "corpus"), cfg.data.patch_side,
+        cfg.data.n_patches, cfg.data.train_fraction, rng)
+    fitted, train_white, test_white, norm = prepare_reference(
+        train_px, test_px, cfg.data.pca_k)
+    w, meta = load_whitener(out / "whitener.cgmat")
+    for got, want in zip((w.mean, w.eigvals, w.basis), fitted):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(load_matrix(out / "train_white.cgmat")[0],
+                                  train_white)
+    np.testing.assert_array_equal(load_matrix(out / "test_white.cgmat")[0],
+                                  test_white)
+    assert float(meta["mean_patch_norm"]) == norm
+
+
+def test_prepare_holds_one_copy_of_the_patches(tmp_path):
+    # 4000 patches of 16x16 (8.2 MB) dominate the traced memory; a small
+    # pca_k keeps the whitened rows and LAPACK's untraced workspace small
+    n, d, k = 4000, 256, 8
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, 16, 48, seed=6)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG.format(corpus=corpus)
+                   .replace("patch_side = 6", "patch_side = 16")
+                   .replace("n_patches = 800", f"n_patches = {n}")
+                   .replace("pca_k = 20", f"pca_k = {k}")
+                   .replace("L = 20", f"L = {k}"))
+    tracemalloc.start()
+    try:
+        rc = main(["prepare", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the patch buffer and the whitened rows.  Measured: 1.15x, with the
+    # d x d covariance products most of the rest; centering the training
+    # rows in three copies made it 2.01x
+    held = 8 * n * (d + k)
+    assert peak <= 1.3 * held, \
+        f"traced peak {peak / held:.2f} x {held / 1e6:.1f} MB"
 
 
 def test_train_outputs(run_dir):
@@ -229,6 +283,12 @@ def test_exit_codes(run_dir, tmp_path):
     negative = tmp_path / "negative.cfg"
     negative.write_text(cfg.read_text().replace("seed = 11", "seed = -3"))
     assert main(["prepare", "--config", str(negative),
+                 "--out-dir", str(empty)]) == 2
+    # too few training patches for pca_k, caught before any patch is cut
+    few = tmp_path / "few.cfg"
+    few.write_text(cfg.read_text().replace("n_patches = 800",
+                                           "n_patches = 20"))
+    assert main(["prepare", "--config", str(few),
                  "--out-dir", str(empty)]) == 2
     # train before prepare
     assert main(["train", *base]) == 2

@@ -99,6 +99,15 @@ def test_defaults_when_sections_missing():
     ("[model]\nL = 42\n", "must equal"),
     ("[training]\nepochs_max = -1\n", "epochs_max"),
     ("[data]\npatch_side = 1\n", "patch_side must be at least 2"),
+    # n training rows support at most n - 1 components
+    ("[data]\nn_patches = 50\n",
+     "45 training patches support at most 44 components, fewer than "
+     "pca_k=100"),
+    ("[data]\nn_patches = 3\ntrain_fraction = 0.2\npca_k = 2\n"
+     "[model]\nL = 2\n",
+     "1 training patches support at most 0 components, fewer than "
+     "pca_k=2"),
+    ("[data]\nn_patches = 111\n", "100 training patches support at most 99"),
     ("seed = -3\n", "seed must be nonnegative"),
     # the range checks in validate() cannot see NaN, so parsing rejects
     # every non-finite float
@@ -165,6 +174,12 @@ def test_load_config_round_trip(tmp_path):
 def test_shipped_configs_parse_and_validate(name, dims):
     # load_config validates every section
     assert load_config(CONFIGS / name).model.dims == dims
+
+
+def test_training_rows_just_enough_for_pca_k():
+    # 112 patches at train_fraction 0.9 leave 101 training rows, whose
+    # centered covariance can have rank pca_k = 100
+    assert DataConfig(n_patches=112).validate() == DataConfig(n_patches=112)
 
 
 DESK = RunConfig(

@@ -7,14 +7,14 @@ import pytest
 
 from cgdbm.analysis import dewhitening_matrix
 from cgdbm.config import DataConfig
-from cgdbm.errors import ConfigError, DomainError, FormatError
+from cgdbm.errors import ConfigError, DomainError, FormatError, ShapeError
 from cgdbm.io import load_matrix, save_matrix, write_pgm
 from cgdbm.stimuli import (Whitener, default_frequencies, extract_patches,
                            fit_whitener, generate_gratings,
                            load_grayscale_images, load_whitener,
-                           mean_centered_norm, save_whitener, whiten)
+                           mean_norm_in_place, save_whitener, whiten)
 from cgdbm.synth import dead_leaves_image, make_corpus, write_corpus
-from oracles import extract_patches_reference
+from oracles import extract_patches_reference, fit_centered
 
 # the grating grid the analyze stage uses at its default counts
 ORIENTATIONS = np.arange(8) * 22.5
@@ -134,7 +134,7 @@ def test_whitener_known_diagonal_covariance(rng):
     # independent columns with variances 9, 4, 1: eigvecs are axes
     n = 40000
     x = rng.normal(size=(n, 3)) * np.array([3.0, 2.0, 1.0])
-    w = fit_whitener(x, 3)
+    w = fit_centered(x, 3)
     assert np.all(np.diff(w.eigvals) <= 0)
     np.testing.assert_allclose(w.eigvals, [9.0, 4.0, 1.0], rtol=0.05)
     # each basis column is an axis up to sign
@@ -146,7 +146,7 @@ def test_whitened_covariance_is_identity(rng):
     d, k, n = 12, 5, 3000
     mix = rng.normal(size=(d, d))
     x = rng.normal(size=(n, d)) @ mix + rng.normal(size=d)
-    w = fit_whitener(x, k)
+    w = fit_centered(x, k)
     v = whiten(w, x)
     cov = np.cov(v, rowvar=False, ddof=1)
     np.testing.assert_allclose(cov, np.eye(k), atol=1e-6)
@@ -156,7 +156,7 @@ def test_whitened_covariance_is_identity(rng):
 def test_dewhiten_then_whiten_is_identity(rng):
     d, k = 9, 4
     x = rng.normal(size=(500, d)) @ rng.normal(size=(d, d))
-    w = fit_whitener(x, k)
+    w = fit_centered(x, k)
     v = rng.normal(size=(20, k))
     np.testing.assert_allclose(whiten(w, v @ dewhitening_matrix(w) + w.mean), v,
                                atol=1e-10)
@@ -165,7 +165,7 @@ def test_dewhiten_then_whiten_is_identity(rng):
 def test_whiten_dewhiten_is_rank_k_projection(rng):
     d, k = 10, 6
     x = rng.normal(size=(800, d)) @ rng.normal(size=(d, d))
-    w = fit_whitener(x, k)
+    w = fit_centered(x, k)
     y = rng.normal(size=(30, d))
     recon = whiten(w, y) @ dewhitening_matrix(w) + w.mean
     # oracle: explicit projector onto the basis columns, around the mean
@@ -182,16 +182,19 @@ def test_fit_whitener_rank_deficient_raises(rng):
     base = rng.normal(size=(2, 5))
     x = rng.normal(size=(100, 2)) @ base
     with pytest.raises(DomainError):
-        fit_whitener(x, 4)
-    w = fit_whitener(x, 2)
+        fit_centered(x, 4)
+    w = fit_centered(x, 2)
     assert w.k == 2
 
 
 def test_fit_whitener_input_validation(rng):
     with pytest.raises(DomainError):
-        fit_whitener(rng.normal(size=(1, 4)), 2)
+        fit_centered(rng.normal(size=(1, 4)), 2)
     with pytest.raises(DomainError):
-        fit_whitener(rng.normal(size=(10, 4)), 5)
+        fit_centered(rng.normal(size=(10, 4)), 5)
+    # a mean of another width than the centered rows
+    with pytest.raises(ShapeError):
+        fit_whitener(rng.normal(size=(10, 4)), np.zeros(3), 2)
 
 
 # --- gratings ---------------------------------------------------------------
@@ -246,17 +249,15 @@ def test_group_by_orientation():
 @pytest.mark.parametrize("rows, cols", [(7, 5), (2500, 1024), (18000, 144)])
 def test_mean_centered_norm_equals_linalg_norm(rows, cols):
     x = np.random.default_rng(rows).normal(size=(rows, cols))
-    before = x.copy()
-    expected = float(np.mean(np.linalg.norm(x - x.mean(axis=0), axis=1)))
-    assert mean_centered_norm(x) == expected
-    # squaring in place touches only the centred copy
-    np.testing.assert_array_equal(x, before)
+    x -= x.mean(axis=0)
+    expected = float(np.mean(np.linalg.norm(x, axis=1)))
+    assert mean_norm_in_place(x) == expected
 
 
 # --- whitener files ---------------------------------------------------------
 
 def test_whitener_round_trip(tmp_path, rng):
-    w = fit_whitener(rng.normal(size=(200, 16)), 5)
+    w = fit_centered(rng.normal(size=(200, 16)), 5)
     save_whitener(tmp_path / "w.cgmat", w, 4, 2.5)
     got, meta = load_whitener(tmp_path / "w.cgmat")
     for field in ("mean", "eigvals", "basis"):
@@ -273,7 +274,7 @@ def test_whitener_round_trip(tmp_path, rng):
 def test_whitener_header_must_scale_and_shape_gratings(tmp_path, rng, key,
                                                        value):
     path = tmp_path / "w.cgmat"
-    save_whitener(path, fit_whitener(rng.normal(size=(200, 16)), 5), 4, 2.5)
+    save_whitener(path, fit_centered(rng.normal(size=(200, 16)), 5), 4, 2.5)
     flat, meta = load_matrix(path)
     if value is None:
         del meta[key]
@@ -310,5 +311,5 @@ def test_corpus_has_oriented_structure(rng):
     # concentrate variance in the leading components
     imgs = make_corpus(6, 48, seed=11)
     train, _ = extract_patches(imgs, 8, 2000, 0.9, rng)
-    w = fit_whitener(train, 30)
+    w = fit_centered(train, 30)
     assert w.eigvals[0] > 10 * w.eigvals[29]
