@@ -29,7 +29,8 @@ from .io import (format_float, load_matrix, load_model, open_atomic,
                  save_matrix, save_model, write_csv)
 from .sampling import average_initial_probability, run_spontaneous_session
 from .stimuli import (extract_patches, fit_whitener, load_grayscale_images,
-                      load_whitener, mean_norm_in_place, save_whitener, whiten)
+                      load_whitener, mean_norm_in_place, project_in_blocks,
+                      save_whitener, whiten_in_blocks)
 from .training import EpochRecord, train
 from .viz import save_montage_pgm
 
@@ -65,25 +66,29 @@ def cmd_prepare(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError(f"image directory {image_dir} does not exist")
     rng = np.random.default_rng(stage_seed(cfg.seed, "prepare"))
     images = load_grayscale_images(image_dir)
+    n_images = len(images)
     train_px, test_px = extract_patches(images, cfg.data.patch_side,
                                         cfg.data.n_patches,
                                         cfg.data.train_fraction, rng)
+    del images  # not live during the eigh or the whitening
     # the patches are held once: every step below starts from the
     # training rows centered in place
     mean = train_px.mean(axis=0)
     train_px -= mean
     w = fit_whitener(train_px, mean, cfg.data.pca_k)
-    train_white = train_px @ w.projection
-    test_white = whiten(w, test_px)
-    norm = mean_norm_in_place(train_px)
+    # the whitened rows are made, digested and written block by block;
+    # the norm squares the buffer in place, so it comes last
+    train_white = project_in_blocks(w, train_px)
+    test_white = whiten_in_blocks(w, test_px)
     common = {"patch_side": str(cfg.data.patch_side),
               "pca_k": str(cfg.data.pca_k)}
     save_matrix(out_dir / TRAIN_WHITE, train_white,
                 meta={"kind": "whitened_train", **common})
     save_matrix(out_dir / TEST_WHITE, test_white,
                 meta={"kind": "whitened_test", **common})
+    norm = mean_norm_in_place(train_px)
     save_whitener(out_dir / WHITENER, w, cfg.data.patch_side, norm)
-    print(f"prepare: {len(images)} images, "
+    print(f"prepare: {n_images} images, "
           f"train {train_white.shape[0]}x{train_white.shape[1]}, "
           f"test {test_white.shape[0]}x{test_white.shape[1]}")
     print(f"prepare: leading variance {format_float(float(w.eigvals[0]))}, "

@@ -12,23 +12,61 @@ older formats (magics ``CGMAT1``, ``CGMAT2`` and the model-only
 ``CGDBM1`` to ``CGDBM3``) are rejected as bad magic.
 
 Writers never include timestamps, so rewriting the same content produces
-byte-identical files.  Every artifact writer goes through `open_atomic`:
-it writes ``<name>.tmp`` beside the target and renames it into place, so
-a write that fails midway leaves the previous file intact.
+byte-identical files.  `save_matrix` writes an array or a `RowBlocks`,
+a matrix made block by block that is digested and written one block at
+a time and never held whole; both give the same bytes.  Every artifact
+writer goes through `open_atomic`: it writes ``<name>.tmp`` beside the
+target and renames it into place, so a write that fails midway leaves
+the previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .model import ModelParams, Offsets
 
 MATRIX_MAGIC = b"CGMAT3\n"
+
+# rows per block of a matrix made block by block.  On OpenBLAS a product
+# over 100 rows or more had the bits of the one-shot product, and one
+# over a few rows did not, so no block is shorter than this unless the
+# whole matrix is
+BLOCK_ROWS = 1024
+
+
+def row_slices(n: int) -> list[slice]:
+    """Slices covering rows 0..n in order, BLOCK_ROWS rows each except
+    the last, which also takes the remainder (up to 2 * BLOCK_ROWS - 1
+    rows).  Zero rows give one empty slice."""
+    starts = range(0, max(n // BLOCK_ROWS, 1) * BLOCK_ROWS, BLOCK_ROWS)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
+
+@dataclass(frozen=True)
+class RowBlocks:
+    """A (rows, cols) float64 matrix that `save_matrix` writes without
+    ever holding it whole.  Iterating calls make(s) for each slice s of
+    row_slices(rows), in order; each call returns those rows.  It has
+    an array's `size`, so np.size measures either argument of
+    save_matrix."""
+
+    shape: tuple[int, int]
+    make: Callable[[slice], np.ndarray]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def __iter__(self):
+        return (self.make(s) for s in row_slices(self.shape[0]))
 
 
 @contextmanager
@@ -62,13 +100,22 @@ def _header_int(header: dict[str, str], key: str, path) -> int:
 
 
 def save_matrix(path, array, meta: dict[str, str] | None = None) -> None:
-    a = np.atleast_2d(np.asarray(array, dtype=np.float64))
+    """A matrix container of array: a 2-D array (a 1-D one is one row)
+    or a RowBlocks.  The header is written from the shape, then each
+    block is digested and written as it comes; an array is one block.
+    Blocks that do not add up to the shape raise ShapeError and leave
+    no file."""
+    if isinstance(array, RowBlocks):
+        shape, blocks = array.shape, array
+    else:
+        a = np.atleast_2d(np.asarray(array, dtype=np.float64))
+        shape, blocks = a.shape, (a,)
     header = dict(meta or {})
     for key in ("rows", "cols"):
         if key in header:
             raise ValueError(f"meta must not override {key!r}")
-    header["rows"] = str(a.shape[0])
-    header["cols"] = str(a.shape[1])
+    header["rows"] = str(shape[0])
+    header["cols"] = str(shape[1])
     for k, v in header.items():
         if ("\n" in k or "=" in k or "\n" in v
                 or not (k.isascii() and v.isascii())):
@@ -77,14 +124,23 @@ def save_matrix(path, array, meta: dict[str, str] | None = None) -> None:
                              "newline, values may not contain a newline")
     head = MATRIX_MAGIC + b"".join(f"{k}={header[k]}\n".encode("ascii")
                                    for k in sorted(header)) + b"\n"
-    payload = np.ascontiguousarray(a, dtype="<f8")
-    # two updates, so the payload (many megabytes for a dataset) is
-    # never copied to sit next to the header
+    # one update per block, so the payload (many megabytes for a dataset)
+    # is never copied to sit next to the header or its other blocks
     digest = hashlib.blake2b(head, digest_size=8)
-    digest.update(payload)
+    rows = 0
     with open_atomic(path, "wb") as fh:
         fh.write(head)
-        fh.write(payload)
+        for block in blocks:
+            payload = np.ascontiguousarray(block, dtype="<f8")
+            if payload.ndim != 2 or payload.shape[1] != shape[1]:
+                raise ShapeError(f"{path}: block of shape {payload.shape} "
+                                 f"in a matrix of {shape[1]} columns")
+            rows += payload.shape[0]
+            digest.update(payload)
+            fh.write(payload)
+        if rows != shape[0]:
+            raise ShapeError(f"{path}: blocks gave {rows} rows, the header "
+                             f"says {shape[0]}")
         fh.write(digest.digest())
 
 

@@ -5,6 +5,8 @@ cut from grayscale images, reduced to the top principal components, and
 variance-normalized there.  The patches are held once: the caller
 centers the training rows in place, and the whitener is fitted, the
 training rows whitened and their mean norm taken from that one buffer.
+The whitened rows are made block by block, as `RowBlocks` that
+`save_matrix` writes as they come, so no whole whitened split is held.
 Gratings are generated in pixel space at unit amplitude; the analysis
 scales them to the natural patches and pushes them through the same
 whitening transform before they reach the model.
@@ -20,7 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError
-from .io import format_float, load_matrix, read_pgm, save_matrix
+from .io import (BLOCK_ROWS, RowBlocks, format_float, load_matrix, read_pgm,
+                 save_matrix)
 
 
 def load_grayscale_images(directory) -> list[np.ndarray]:
@@ -62,10 +65,16 @@ def extract_patches(images, side: int, n_patches: int, train_fraction: float,
     # as one scalar rng.integers call per coordinate
     corners = rng.integers(0, (shapes[idx] - side + 1).ravel()).reshape(-1, 2)
     out = np.empty((n_patches, side, side))
+    # an image's patches are copied a few at a time, so that no copy
+    # beside the buffer holds more than BLOCK_ROWS rows of side pixels
+    step = max(BLOCK_ROWS // side, 1)
     for j, img in enumerate(usable):
+        windows = sliding_window_view(img, (side, side))
         sel = np.flatnonzero(idx == j)
-        rows, cols = corners[sel].T
-        out[sel] = sliding_window_view(img, (side, side))[rows, cols]
+        for a in range(0, len(sel), step):
+            part = sel[a:a + step]
+            rows, cols = corners[part].T
+            out[part] = windows[rows, cols]
     out = out.reshape(n_patches, side * side)
     n_train = n_train_rows(n_patches, train_fraction)
     return out[:n_train], out[n_train:]
@@ -131,6 +140,22 @@ def whiten(w: Whitener, rows) -> np.ndarray:
     """Project rows onto the retained components and normalize variance."""
     x = np.asarray(rows, dtype=np.float64)
     return (x - w.mean) @ w.projection
+
+
+def project_in_blocks(w: Whitener, centered: np.ndarray) -> RowBlocks:
+    """The whitened rows `centered @ w.projection` of rows already
+    centered on w.mean, made block by block when save_matrix asks for
+    them.  Each block is one product over its rows, with the bits of the
+    one-shot product (see io.BLOCK_ROWS)."""
+    projection = w.projection
+    return RowBlocks((centered.shape[0], w.k),
+                     lambda s: centered[s] @ projection)
+
+
+def whiten_in_blocks(w: Whitener, rows: np.ndarray) -> RowBlocks:
+    """whiten(w, rows), one block of rows at a time, so only a block is
+    ever centered in a copy."""
+    return RowBlocks((rows.shape[0], w.k), lambda s: whiten(w, rows[s]))
 
 
 def mean_norm_in_place(centered: np.ndarray) -> float:

@@ -102,6 +102,34 @@ def test_prepare_holds_one_copy_of_the_patches(tmp_path):
         f"traced peak {peak / held:.2f} x {held / 1e6:.1f} MB"
 
 
+def test_prepare_never_holds_a_whitened_split(tmp_path):
+    # pca_k close to the patch width, so the whitened rows (18 MB) are
+    # nearly the size of the patch buffer (20.5 MB): they are made and
+    # written block by block, never whole
+    n, side, k = 40000, 8, 56
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, 16, 48, seed=6)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG.format(corpus=corpus)
+                   .replace("patch_side = 6", f"patch_side = {side}")
+                   .replace("n_patches = 800", f"n_patches = {n}")
+                   .replace("pca_k = 20", f"pca_k = {k}")
+                   .replace("L = 20", f"L = {k}"))
+    tracemalloc.start()
+    try:
+        rc = main(["prepare", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # measured: 1.13x, the largest block and its centered copy most of
+    # the rest; holding both whitened splits made it 2.00x
+    held = 8 * n * side * side
+    assert peak <= 1.2 * held, \
+        f"traced peak {peak / held:.2f} x {held / 1e6:.1f} MB"
+
+
 def test_train_outputs(run_dir):
     root, cfg, out = run_dir
     params, offsets = load_model(out / "model.cgdbm")

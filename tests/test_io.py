@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import cgdbm.io
-from cgdbm.errors import FormatError
-from cgdbm.io import (format_float, load_matrix, load_model, read_pgm,
-                      save_matrix, save_model, write_csv, write_pgm)
+from cgdbm.errors import FormatError, ShapeError
+from cgdbm.io import (BLOCK_ROWS, RowBlocks, format_float, load_matrix,
+                      load_model, read_pgm, row_slices, save_matrix,
+                      save_model, write_csv, write_pgm)
 from cgdbm.model import ModelParams, Offsets
 
 from oracles import random_model
@@ -173,6 +174,50 @@ def test_matrix_load_holds_the_payload_once(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(a, b)
     assert peak < 1.1 * a.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                               2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS,
+                               5 * BLOCK_ROWS + 3])
+def test_row_slices_cover_the_rows_in_long_blocks(n):
+    slices = row_slices(n)
+    assert np.array_equal(np.concatenate([np.arange(n)[s] for s in slices]),
+                          np.arange(n))
+    lengths = [s.stop - s.start for s in slices]
+    assert all(BLOCK_ROWS <= m < 2 * BLOCK_ROWS for m in lengths) \
+        or lengths == [n]
+
+
+@pytest.mark.parametrize("n", [0, 5, 3 * BLOCK_ROWS, 3 * BLOCK_ROWS + 7])
+def test_matrix_from_blocks_has_the_array_bytes(rng, tmp_path, n):
+    # one block, several whole blocks, and a last block that takes the
+    # remainder: the bytes are those of the materialised array
+    a = rng.normal(size=(n, 3))
+    made = []
+    blocks = RowBlocks((n, 3), lambda s: made.append(s) or a[s])
+    assert np.size(blocks) == a.size
+    meta = {"kind": "blocks"}
+    save_matrix(tmp_path / "blocks.cgmat", blocks, meta=meta)
+    save_matrix(tmp_path / "array.cgmat", a, meta=meta)
+    assert made == row_slices(n)
+    assert (tmp_path / "blocks.cgmat").read_bytes() == \
+        (tmp_path / "array.cgmat").read_bytes()
+
+
+@pytest.mark.parametrize("shape,match", [
+    # the blocks run out before the header's rows, or give more of them
+    ((BLOCK_ROWS + 1, 3), "blocks gave 1024 rows, the header says 1025"),
+    ((BLOCK_ROWS - 1, 3), "blocks gave 1024 rows, the header says 1023"),
+    ((BLOCK_ROWS, 2), r"block of shape \(1024, 3\) in a matrix of 2 columns"),
+])
+def test_matrix_blocks_that_miss_the_shape_leave_no_file(rng, tmp_path,
+                                                         shape, match):
+    a = rng.normal(size=(BLOCK_ROWS, 3))
+    path = tmp_path / "x.cgmat"
+    with pytest.raises(ShapeError, match=match):
+        # every block is all of a, whatever rows it was asked for
+        save_matrix(path, RowBlocks(shape, lambda s: a))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_matrix_golden_bytes(tmp_path):

@@ -1,18 +1,22 @@
 """Whitening and grating stimuli checks against small closed-form cases."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cgdbm.analysis import dewhitening_matrix
+from cgdbm.cli import _pin_blas_threads
 from cgdbm.config import DataConfig
 from cgdbm.errors import ConfigError, DomainError, FormatError, ShapeError
-from cgdbm.io import load_matrix, save_matrix, write_pgm
+from cgdbm.io import (BLOCK_ROWS, load_matrix, row_slices, save_matrix,
+                      write_pgm)
 from cgdbm.stimuli import (Whitener, default_frequencies, extract_patches,
                            fit_whitener, generate_gratings,
                            load_grayscale_images, load_whitener,
-                           mean_norm_in_place, save_whitener, whiten)
+                           mean_norm_in_place, project_in_blocks,
+                           save_whitener, whiten, whiten_in_blocks)
 from cgdbm.synth import dead_leaves_image, make_corpus, write_corpus
 from oracles import extract_patches_reference, fit_centered
 
@@ -116,6 +120,21 @@ def test_extract_patches_golden_digest(tmp_path):
         "has_uint32": 0, "uinteger": 1739960180}
 
 
+def test_extract_patches_copies_in_bounded_chunks():
+    # 4000 patches of 16x16 (8.2 MB) from 4 images: copying each image's
+    # patches in one piece held a quarter of the buffer again (1.275x)
+    make = np.random.default_rng(3)
+    images = [make.random((64, 64)) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        extract_patches(images, 16, 4000, 0.9, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 8 * 4000 * 16 * 16
+    assert peak <= 1.05 * held, f"traced peak {peak / held:.3f} x"
+
+
 def test_patch_config_validation():
     with pytest.raises(ConfigError, match="patch_side must be at least 2"):
         DataConfig(patch_side=1).validate()
@@ -175,6 +194,42 @@ def test_whiten_dewhiten_is_rank_k_projection(rng):
     # idempotent
     np.testing.assert_allclose(
         whiten(w, recon) @ dewhitening_matrix(w) + w.mean, recon, atol=1e-8)
+
+
+R = BLOCK_ROWS
+BLOCK_SPLITS = [1, R - 1, R, R + 1, 2 * R - 1, 2 * R, 5 * R + 3, 18000]
+
+
+def random_whitener(rng, d, k):
+    # only the shapes matter to the products below
+    return Whitener(mean=rng.normal(size=d),
+                    eigvals=np.sort(rng.uniform(0.5, 2.0, k))[::-1],
+                    basis=rng.normal(size=(d, k)))
+
+
+@pytest.mark.parametrize("d,k", [(144, 100), (1024, 256)])
+def test_blocked_projection_matches_one_shot(rng, d, k):
+    # the whitened training rows are written block by block; every block
+    # is one product of at least BLOCK_ROWS rows (or the whole split),
+    # which OpenBLAS computes with the one-shot product's bits
+    _pin_blas_threads()
+    w = random_whitener(rng, d, k)
+    x = rng.normal(size=(max(BLOCK_SPLITS), d))
+    for n in BLOCK_SPLITS:
+        want = x[:n] @ w.projection
+        blocks = project_in_blocks(w, x[:n])
+        assert blocks.shape == (n, k)
+        for s, block in zip(row_slices(n), blocks, strict=True):
+            np.testing.assert_array_equal(block, want[s])
+
+
+def test_blocked_whitening_matches_one_shot(rng):
+    _pin_blas_threads()
+    w = random_whitener(rng, 144, 100)
+    x = rng.normal(size=(max(BLOCK_SPLITS), 144))
+    for n in BLOCK_SPLITS:
+        got = np.concatenate(list(whiten_in_blocks(w, x[:n])))
+        np.testing.assert_array_equal(got, whiten(w, x[:n]))
 
 
 def test_fit_whitener_rank_deficient_raises(rng):
