@@ -163,12 +163,8 @@ class AnalysisConfig:
     som_nodes: int = 40
     som_epochs: int = 20
     som_lr_start: float = 0.5
-    som_lr_end: float = 0.01
     som_radius_start: float = 10.0
-    som_radius_end: float = 1.0
     orientation_count: int = 8
-    grating_frequency_count: int = 6
-    grating_phase_count: int = 4
 
     def validate(self) -> "AnalysisConfig":
         if not (0.0 < self.alpha < 1.0):
@@ -177,15 +173,13 @@ class AnalysisConfig:
             raise ConfigError("threshold_n must be at least 4")
         if self.orientation_count < 2 or self.orientation_count % 2 != 0:
             raise ConfigError("orientation_count must be even and >= 2")
-        if self.grating_frequency_count < 1 or self.grating_phase_count < 1:
-            raise ConfigError("grating grid counts must be positive")
         if self.som_nodes < 2:
             raise ConfigError("need at least 2 nodes")
         if self.som_epochs < 1:
             raise ConfigError("need at least 1 epoch")
-        if self.som_lr_start <= 0 or self.som_lr_end <= 0:
+        if self.som_lr_start <= 0:
             raise ConfigError("learning rates must be positive")
-        if self.som_radius_start <= 0 or self.som_radius_end <= 0:
+        if self.som_radius_start <= 0:
             raise ConfigError("radii must be positive")
         return self
 
@@ -229,6 +223,10 @@ def _empty_cache_aligned(shape: tuple[int, int]) -> np.ndarray:
     return buf[start:start + n].reshape(shape)
 
 
+SOM_LR_END = 0.01      # the SOM's learning rate in its last epoch
+SOM_RADIUS_END = 1.0   # and its neighborhood radius
+
+
 def train_som(frames, cfg: AnalysisConfig, seed: int) -> SomModel:
     """Classic online Kohonen training on a circular lattice, with the
     som_* settings of cfg and an rng seeded from `seed`.
@@ -237,7 +235,8 @@ def train_som(frames, cfg: AnalysisConfig, seed: int) -> SomModel:
     shuffles the frames and, per frame, pulls every node toward it with
     a Gaussian neighborhood over circular lattice distance around the
     best-matching unit.  Learning rate and radius decay linearly per
-    epoch.  Quantization error is measured after each epoch.
+    epoch, to SOM_LR_END and SOM_RADIUS_END.  Quantization error is
+    measured after each epoch.
     """
     cfg.validate()
     f = np.atleast_2d(np.asarray(frames, dtype=np.float64))
@@ -259,9 +258,9 @@ def train_som(frames, cfg: AnalysisConfig, seed: int) -> SomModel:
             frac = 0.0
         else:
             frac = epoch / (cfg.som_epochs - 1)
-        lr = (1.0 - frac) * cfg.som_lr_start + frac * cfg.som_lr_end
+        lr = (1.0 - frac) * cfg.som_lr_start + frac * SOM_LR_END
         radius = ((1.0 - frac) * cfg.som_radius_start
-                  + frac * cfg.som_radius_end)
+                  + frac * SOM_RADIUS_END)
         # step[b]: learning rate times the neighborhood around node b, one
         # row per node, repeated across the frame width so that scaling
         # the (n_nodes, M) update is one contiguous multiply
@@ -362,6 +361,9 @@ def orientation_selectivity(map_set: OrientationMapSet) -> np.ndarray:
 
 # --- the analysis of one run ------------------------------------------------
 
+GRATING_PHASES = 4  # phases at each grating frequency, evenly spaced
+
+
 @dataclass(frozen=True)
 class AnalysisResult:
     """What analyze() finds in one run; summary holds the lines of the
@@ -369,7 +371,6 @@ class AnalysisResult:
 
     maps: OrientationMapSet
     spontaneous: CorrelationReport
-    control: CorrelationReport
     som_best: np.ndarray         # (n_nodes,) best-correlated map per node
     som_best_r: np.ndarray       # (n_nodes,) r at that map
     osi: np.ndarray              # (M,) orientation selectivity per unit
@@ -396,10 +397,9 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
     """
     _, M, N = params.dims
     orientations = cfg.orientations()
-    freqs = default_frequencies(patch_side, cfg.grating_frequency_count)
-    phases = np.arange(cfg.grating_phase_count) * (
-        2.0 * np.pi / cfg.grating_phase_count)
-    unit = generate_gratings(patch_side, orientations, freqs, phases)
+    phases = np.arange(GRATING_PHASES) * (2.0 * np.pi / GRATING_PHASES)
+    unit = generate_gratings(patch_side, orientations,
+                             default_frequencies(patch_side), phases)
     amplitude = mean_patch_norm / float(np.mean(np.linalg.norm(unit, axis=-1)))
     map_set = orientation_maps(params, offsets, amplitude * unit,
                                orientations, whitener, mf_cfg)
@@ -447,7 +447,7 @@ def analyze(params: ModelParams, offsets: Offsets, whitener: Whitener,
         + str(int(np.sum(np.abs(som_best_r) >= threshold))),
     ]
     return AnalysisResult(
-        maps=map_set, spontaneous=rep, control=ctrl_rep, som_best=som_best,
+        maps=map_set, spontaneous=rep, som_best=som_best,
         som_best_r=som_best_r, osi=osi,
         filters=filters.reshape(M, patch_side, patch_side),
         rf_second_layer=rf.reshape(N, patch_side, patch_side),

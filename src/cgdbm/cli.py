@@ -190,8 +190,6 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                    + ["max_abs_r", "significant", "preference_deg"])
     write_csv(out_dir / "correlation.csv", corr_header,
               _correlation_rows(res.spontaneous, orientations))
-    write_csv(out_dir / "control_correlation.csv", corr_header,
-              _correlation_rows(res.control, orientations))
     write_csv(out_dir / "preference_hist.csv",
               ["orientation_deg", "relative_occurrence"],
               zip(orientations, res.spontaneous.preference_hist))

@@ -114,8 +114,7 @@ class RunConfig:
         self.analysis.validate()
         # what analyze needs of the earlier stages' output, checked
         # before any stage runs
-        default_frequencies(self.data.patch_side,
-                            self.analysis.grating_frequency_count)
+        default_frequencies(self.data.patch_side)
         session = self.sampling
         n_frames = (session.n_iterations // session.record_every
                     * session.n_chains)

@@ -64,6 +64,9 @@ from .model import (
 # on a 2-vCPU host.
 OVERLAP_MIN_MULTIPLY_ADDS = 4_000_000
 
+SIGMA_LR_FACTOR = 0.1   # sigma moves at this fraction of the main rate
+SIGMA_STEP_CLIP = 0.05  # hard bound on each sigma update
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -71,7 +74,6 @@ class TrainConfig:
     learning_rate_end: float = 0.001
     momentum_start: float = 0.9
     momentum_end: float = 0.0
-    sigma_lr_factor: float = 0.1      # sigma moves at this fraction of the main rate
     batch_size: int = 100
     offset_rate: float = 0.001        # moving-average rate for the offsets
     epochs_max: int = 100
@@ -80,7 +82,6 @@ class TrainConfig:
     gibbs_steps_per_batch: int = 5
     val_fraction: float = 0.1
     patience: int = 10
-    sigma_step_clip: float = 0.05     # hard bound on each sigma update
 
     def validate(self) -> "TrainConfig":
         if self.learning_rate_start <= 0 or self.learning_rate_end < 0:
@@ -101,8 +102,6 @@ class TrainConfig:
             raise ConfigError("val_fraction must lie in [0, 1)")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
-        if self.sigma_lr_factor <= 0 or self.sigma_step_clip <= 0:
-            raise ConfigError("sigma settings must be positive")
         return self
 
 
@@ -240,7 +239,7 @@ def mean_field_data(x_batch, p: ModelParams, c: Offsets,
     iterations = 0
     for iterations in range(1, cfg.mean_field_max_iters + 1):
         y_new = sigmoid(bottom_up + (z - c.c_z) @ p.U.T)
-        if damped and y is not None:
+        if damped:
             y_new = 0.5 * (y_new + y)
         z_new = sigmoid((y_new - c.c_y) @ p.U + p.b_z)
         if damped:
@@ -327,13 +326,12 @@ def batch_gradient_stats(x, y, z, p: ModelParams, c: Offsets,
 
 
 def apply_updates(p: ModelParams, velocity: GradientStats,
-                  grad: GradientStats, lr: float, momentum: float,
-                  cfg: TrainConfig) -> None:
+                  grad: GradientStats, lr: float, momentum: float) -> None:
     """Momentum SGD step on the data-minus-model gradient `grad`, in place
     on p and velocity; grad is used as scratch and holds nothing
     afterwards.
 
-    Sigma steps use lr * sigma_lr_factor and are clipped elementwise; the
+    Sigma steps use lr * SIGMA_LR_FACTOR and are clipped elementwise; the
     velocity itself is clipped so it cannot wind up past the bound.
     """
     for v, g, w in ((velocity.dW, grad.dW, p.W), (velocity.dU, grad.dU, p.U),
@@ -345,9 +343,9 @@ def apply_updates(p: ModelParams, velocity: GradientStats,
         w += v
     vs, sigma = velocity.dsigma, grad.dsigma
     vs *= momentum
-    sigma *= lr * cfg.sigma_lr_factor
+    sigma *= lr * SIGMA_LR_FACTOR
     vs += sigma
-    np.clip(vs, -cfg.sigma_step_clip, cfg.sigma_step_clip, out=vs)
+    np.clip(vs, -SIGMA_STEP_CLIP, SIGMA_STEP_CLIP, out=vs)
     np.sqrt(p.sigma2, out=sigma)
     sigma += vs
     np.maximum(sigma, np.sqrt(SIGMA2_FLOOR), out=sigma)
@@ -513,7 +511,7 @@ def train(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
                     grad = data_stats.subtract(model_stats)
                     gw_norms.append(float(np.linalg.norm(grad.dW)))
                     gu_norms.append(float(np.linalg.norm(grad.dU)))
-                    apply_updates(p, state.velocity, grad, lr, momentum, cfg)
+                    apply_updates(p, state.velocity, grad, lr, momentum)
                     _, db_y, db_z = update_offsets(c, mean_y, mean_z, mean_x,
                                                    p, cfg.offset_rate, out=c)
                     np.add(p.b_y, db_y, out=p.b_y)

@@ -25,14 +25,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from cgdbm.analysis import (AnalysisConfig, circular_distance,
-                            quantization_error)
+from cgdbm.analysis import (SOM_LR_END, SOM_RADIUS_END, AnalysisConfig,
+                            circular_distance, quantization_error)
 from cgdbm.errors import NumericError, ShapeError
 from cgdbm.model import SIGMA2_FLOOR, ModelParams, Offsets, check_dims, energy, sigmoid
 from cgdbm.stimuli import Whitener, fit_whitener
-from cgdbm.training import (EpochRecord, GradientStats, PersistentChains,
-                            TrainConfig, TrainState, anneal, initialize,
-                            mean_field_data)
+from cgdbm.training import (SIGMA_LR_FACTOR, SIGMA_STEP_CLIP, EpochRecord,
+                            GradientStats, PersistentChains, TrainConfig,
+                            TrainState, anneal, initialize, mean_field_data)
 
 
 def raw_energy(x, y, z, W, U, b_y, b_z, sigma2, c_x, c_y, c_z) -> float:
@@ -204,9 +204,9 @@ def som_reference(frames: np.ndarray, cfg: AnalysisConfig, seed: int):
             frac = 0.0
         else:
             frac = epoch / (cfg.som_epochs - 1)
-        lr = (1.0 - frac) * cfg.som_lr_start + frac * cfg.som_lr_end
+        lr = (1.0 - frac) * cfg.som_lr_start + frac * SOM_LR_END
         radius = ((1.0 - frac) * cfg.som_radius_start
-                  + frac * cfg.som_radius_end)
+                  + frac * SOM_RADIUS_END)
         step = lr * np.exp(-(d * d) / (2.0 * radius * radius))
         order = rng.permutation(f.shape[0])
         for i in order:
@@ -339,15 +339,15 @@ def _batch_gradient_stats(x, y, z, p: ModelParams, c: Offsets) -> GradientStats:
 
 def _apply_updates(p: ModelParams, velocity: GradientStats,
                    data_stats: GradientStats, model_stats: GradientStats,
-                   lr: float, momentum: float,
-                   cfg: TrainConfig) -> tuple[ModelParams, GradientStats]:
+                   lr: float,
+                   momentum: float) -> tuple[ModelParams, GradientStats]:
     vW = momentum * velocity.dW + lr * (data_stats.dW - model_stats.dW)
     vU = momentum * velocity.dU + lr * (data_stats.dU - model_stats.dU)
     vb_y = momentum * velocity.db_y + lr * (data_stats.db_y - model_stats.db_y)
     vb_z = momentum * velocity.db_z + lr * (data_stats.db_z - model_stats.db_z)
-    vs = momentum * velocity.dsigma + (lr * cfg.sigma_lr_factor) * (
+    vs = momentum * velocity.dsigma + (lr * SIGMA_LR_FACTOR) * (
         data_stats.dsigma - model_stats.dsigma)
-    vs = np.clip(vs, -cfg.sigma_step_clip, cfg.sigma_step_clip)
+    vs = np.clip(vs, -SIGMA_STEP_CLIP, SIGMA_STEP_CLIP)
     sigma = np.maximum(np.sqrt(p.sigma2) + vs, np.sqrt(SIGMA2_FLOOR))
     new = ModelParams(W=p.W + vW, U=p.U + vU, b_y=p.b_y + vb_y,
                       b_z=p.b_z + vb_z, sigma2=sigma * sigma)
@@ -448,7 +448,7 @@ def train_reference(dataset, dims: tuple[int, int, int], cfg: TrainConfig,
                     chains = gibbs_reference(chains, p, c, rng)
                 model_stats = _batch_gradient_stats(chains.x, chains.y, chains.z, p, c)
                 p, velocity = _apply_updates(p, velocity, data_stats,
-                                             model_stats, lr, momentum, cfg)
+                                             model_stats, lr, momentum)
                 c, db_y, db_z = _update_offsets(c, mf.y.mean(axis=0),
                                                 mf.z.mean(axis=0),
                                                 batch.mean(axis=0),

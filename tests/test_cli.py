@@ -161,10 +161,10 @@ def test_analyze_outputs(run_dir):
         "train_white.cgmat", "test_white.cgmat", "whitener.cgmat",
         "model.cgdbm", "checkpoint.cgdbm", "train_log.csv",
         "frames.cgmat", "p_init.cgmat",
-        "orientation_maps.cgmat", "correlation.csv",
-        "control_correlation.csv", "preference_hist.csv", "som.csv",
-        "osi.csv", "summary.txt", "filters.pgm", "rf_second_layer.pgm",
-        "top_active.pgm", "top_active.csv", "report.txt"}
+        "orientation_maps.cgmat", "correlation.csv", "preference_hist.csv",
+        "som.csv", "osi.csv", "summary.txt", "filters.pgm",
+        "rf_second_layer.pgm", "top_active.pgm", "top_active.csv",
+        "report.txt"}
     frames, _ = load_matrix(out / "frames.cgmat")
     top = top_active_filters(frames.mean(axis=0), k=min(25, 12))
     rows = (out / "top_active.csv").read_text().strip().split("\n")

@@ -1,5 +1,7 @@
 """Config grammar, validation, and stage-seed derivation."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +93,22 @@ def test_defaults_when_sections_missing():
     ("[training]\nseed = 5\n", "unknown key"),
     ("[sampling]\nseed = 5\n", "unknown key"),
     ("[analysis]\nn_control = 5\n", "unknown key"),
+    # module constants, not keys
+    ("[training]\nsigma_lr_factor = 0.1\n",
+     "unknown key 'sigma_lr_factor' in section [training]"),
+    ("[training]\nsigma_step_clip = 0.05\n",
+     "unknown key 'sigma_step_clip' in section [training]"),
+    ("[analysis]\nsom_lr_end = 0.01\n",
+     "unknown key 'som_lr_end' in section [analysis]"),
+    ("[analysis]\nsom_radius_end = 1.0\n",
+     "unknown key 'som_radius_end' in section [analysis]"),
+    ("[analysis]\ngrating_frequency_count = 6\n",
+     "unknown key 'grating_frequency_count' in section [analysis]"),
+    ("[analysis]\ngrating_phase_count = 4\n",
+     "unknown key 'grating_phase_count' in section [analysis]"),
     ("[analysis]\nsom_nodes = 1\n", "need at least 2 nodes"),
     ("[analysis]\nsom_epochs = 0\n", "need at least 1 epoch"),
-    ("[analysis]\nsom_lr_end = 0\n", "learning rates must be positive"),
+    ("[analysis]\nsom_lr_start = 0\n", "learning rates must be positive"),
     ("[analysis]\nsom_radius_start = -1\n", "radii must be positive"),
     ("seed\n", "expected key = value"),
     ("[model]\nL = 42\n", "must equal"),
@@ -111,7 +126,7 @@ def test_defaults_when_sections_missing():
     ("seed = -3\n", "seed must be nonnegative"),
     # the range checks in validate() cannot see NaN, so parsing rejects
     # every non-finite float
-    ("[analysis]\nsom_radius_end = nan\n", "'nan' is not a finite number"),
+    ("[analysis]\nsom_radius_start = nan\n", "'nan' is not a finite number"),
     ("[training]\nlearning_rate_start = inf\n",
      "'inf' is not a finite number"),
     ("[training]\nlearning_rate_start = -inf\n",
@@ -189,17 +204,14 @@ DESK = RunConfig(
     model=ModelConfig(L=100, M=64, N=16),
     training=TrainConfig(
         learning_rate_start=0.03, learning_rate_end=0.001,
-        momentum_start=0.9, momentum_end=0.0, sigma_lr_factor=0.1,
-        batch_size=100, offset_rate=0.001, epochs_max=600,
+        momentum_start=0.9, momentum_end=0.0, batch_size=100,
+        offset_rate=0.001, epochs_max=600,
         mean_field_max_iters=30, mean_field_tol=0.0001,
-        gibbs_steps_per_batch=5, val_fraction=0.1, patience=60,
-        sigma_step_clip=0.05),
+        gibbs_steps_per_batch=5, val_fraction=0.1, patience=60),
     sampling=SessionConfig(n_chains=100, n_iterations=2000, record_every=10),
     analysis=AnalysisConfig(
         alpha=0.01, threshold_n=64, som_nodes=40, som_epochs=20,
-        som_lr_start=0.5, som_lr_end=0.01, som_radius_start=10.0,
-        som_radius_end=1.0, orientation_count=8, grating_frequency_count=6,
-        grating_phase_count=4))
+        som_lr_start=0.5, som_radius_start=10.0, orientation_count=8))
 
 FULL = RunConfig(
     seed=0,
@@ -208,17 +220,14 @@ FULL = RunConfig(
     model=ModelConfig(L=256, M=900, N=100),
     training=TrainConfig(
         learning_rate_start=0.03, learning_rate_end=0.001,
-        momentum_start=0.9, momentum_end=0.0, sigma_lr_factor=0.1,
-        batch_size=100, offset_rate=0.001, epochs_max=100,
+        momentum_start=0.9, momentum_end=0.0, batch_size=100,
+        offset_rate=0.001, epochs_max=100,
         mean_field_max_iters=30, mean_field_tol=0.0001,
-        gibbs_steps_per_batch=5, val_fraction=0.1, patience=10,
-        sigma_step_clip=0.05),
+        gibbs_steps_per_batch=5, val_fraction=0.1, patience=10),
     sampling=SessionConfig(n_chains=100, n_iterations=2000, record_every=10),
     analysis=AnalysisConfig(
         alpha=0.01, threshold_n=200, som_nodes=40, som_epochs=20,
-        som_lr_start=0.5, som_lr_end=0.01, som_radius_start=10.0,
-        som_radius_end=1.0, orientation_count=8, grating_frequency_count=6,
-        grating_phase_count=4))
+        som_lr_start=0.5, som_radius_start=10.0, orientation_count=8))
 
 TINY = RunConfig(
     seed=11,
@@ -227,17 +236,14 @@ TINY = RunConfig(
     model=ModelConfig(L=20, M=12, N=4),
     training=TrainConfig(
         learning_rate_start=0.03, learning_rate_end=0.001,
-        momentum_start=0.9, momentum_end=0.0, sigma_lr_factor=0.1,
-        batch_size=60, offset_rate=0.001, epochs_max=2,
+        momentum_start=0.9, momentum_end=0.0, batch_size=60,
+        offset_rate=0.001, epochs_max=2,
         mean_field_max_iters=30, mean_field_tol=0.0001,
-        gibbs_steps_per_batch=5, val_fraction=0.1, patience=5,
-        sigma_step_clip=0.05),
+        gibbs_steps_per_batch=5, val_fraction=0.1, patience=5),
     sampling=SessionConfig(n_chains=5, n_iterations=40, record_every=10),
     analysis=AnalysisConfig(
         alpha=0.05, threshold_n=12, som_nodes=8, som_epochs=3,
-        som_lr_start=0.5, som_lr_end=0.01, som_radius_start=2.0,
-        som_radius_end=1.0, orientation_count=8, grating_frequency_count=6,
-        grating_phase_count=4))
+        som_lr_start=0.5, som_radius_start=2.0, orientation_count=8))
 
 
 @pytest.mark.parametrize("text, want", [
@@ -247,6 +253,29 @@ TINY = RunConfig(
 ], ids=["desk.cfg", "full.cfg", "TINY_CFG"])
 def test_run_configs_parse_to_every_field(text, want):
     assert parse_config(text) == want
+
+
+def _load_benchmark():
+    # loaded by path: perfbench is a script directory, not a package
+    path = CONFIGS.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_configs_parse():
+    # every key the benchmark writes must still be a key
+    bench = _load_benchmark()
+    assert set(bench.WORKLOADS) == {"desk_pipeline", "full_train"}
+    for name, wl in bench.WORKLOADS.items():
+        cfg = parse_config(bench.config_text(wl, 0))
+        assert cfg.model.dims == wl.dims, name
 
 
 @pytest.mark.parametrize("text, want", [

@@ -20,7 +20,7 @@ from cgdbm.stimuli import (Whitener, default_frequencies, extract_patches,
 from cgdbm.synth import dead_leaves_image, make_corpus, write_corpus
 from oracles import extract_patches_reference, fit_centered
 
-# the grating grid the analyze stage uses at its default counts
+# the grating grid the analyze stage builds
 ORIENTATIONS = np.arange(8) * 22.5
 PHASES = np.arange(4) * (np.pi / 2)
 

@@ -13,6 +13,7 @@ from cgdbm.errors import ConfigError, DomainError, NumericError, ShapeError
 from cgdbm.exact import brute_force_hidden_marginal, log_likelihood
 from cgdbm.model import ModelParams, Offsets, cond_hidden1, cond_visible, sigmoid
 from cgdbm.training import (
+    SIGMA_STEP_CLIP,
     GibbsNoise,
     GradientStats,
     PersistentChains,
@@ -214,13 +215,12 @@ class TestApplyUpdates:
         velocity = GradientStats.zeros(dims)
         velocity.dW[...] += 0.04
         velocity.dsigma[...] += 0.02
-        cfg = TrainConfig()
         apply_updates(p, velocity, GradientStats.zeros(dims), lr=0.1,
-                      momentum=0.5, cfg=cfg)
+                      momentum=0.5)
         np.testing.assert_array_equal(velocity.dW, np.full((2, 3), 0.02))
         np.testing.assert_array_equal(velocity.dsigma, np.full(2, 0.01))
         apply_updates(p, velocity, GradientStats.zeros(dims), lr=0.1,
-                      momentum=0.5, cfg=cfg)
+                      momentum=0.5)
         np.testing.assert_array_equal(velocity.dW, np.full((2, 3), 0.01))
 
     def test_plain_step_without_momentum(self, rng):
@@ -231,7 +231,7 @@ class TestApplyUpdates:
         v = np.array([0.3, -0.2, 0.5])
         grad.db_y[:] = v
         apply_updates(p, GradientStats.zeros(dims), grad, lr=1.0,
-                      momentum=0.0, cfg=TrainConfig())
+                      momentum=0.0)
         np.testing.assert_allclose(p.b_y, b_y + v, atol=1e-15)
 
     def test_sigma_step_clipped_and_floored(self, rng):
@@ -244,17 +244,16 @@ class TestApplyUpdates:
             g.dsigma[:] = [500.0, -500.0]
             return g
 
-        cfg = TrainConfig()
         apply_updates(p, GradientStats.zeros(dims), grad(), lr=1.0,
-                      momentum=0.0, cfg=cfg)
+                      momentum=0.0)
         step = np.sqrt(p.sigma2) - np.sqrt(sigma2)
-        assert step[0] == pytest.approx(cfg.sigma_step_clip, abs=1e-12)
-        assert np.sqrt(p.sigma2[1]) >= np.sqrt(sigma2[1]) - cfg.sigma_step_clip - 1e-12
+        assert step[0] == pytest.approx(SIGMA_STEP_CLIP, abs=1e-12)
+        assert np.sqrt(p.sigma2[1]) >= np.sqrt(sigma2[1]) - SIGMA_STEP_CLIP - 1e-12
         # Drive sigma into the floor.
         pf = ModelParams(W=p.W, U=p.U, b_y=p.b_y, b_z=p.b_z,
                          sigma2=np.full(2, 1.2e-4))
         apply_updates(pf, GradientStats.zeros(dims), grad(), lr=1.0,
-                      momentum=0.0, cfg=cfg)
+                      momentum=0.0)
         assert pf.sigma2[1] == pytest.approx(1e-4, abs=1e-18)
 
     def test_non_finite_update_raises(self, rng):
@@ -263,7 +262,7 @@ class TestApplyUpdates:
         grad.dU[0, 0] = np.inf
         with pytest.raises(NumericError, match="U"):
             apply_updates(p, GradientStats.zeros((2, 3, 2)), grad, lr=1.0,
-                          momentum=0.0, cfg=TrainConfig())
+                          momentum=0.0)
 
 
 class TestUpdateOffsets:
